@@ -88,10 +88,7 @@ let analysis_backend_arg =
   in
   Arg.(
     value
-    & opt (enum
-             [ ("auto", Analysis.Auto); ("exhaustive", Analysis.Exhaustive);
-               ("bdd", Analysis.Bdd_exact); ("sample", Analysis.Sampled) ])
-        Analysis.Auto
+    & opt (enum Analysis.backends) Analysis.Auto
     & info [ "analysis" ] ~docv:"ENGINE" ~doc)
 
 let analysis_args =
@@ -117,67 +114,71 @@ let analysis_args =
       & info [ "confidence" ] ~docv:"C" ~doc)
   in
   let combine backend samples seed confidence =
-    ( backend,
-      { Analysis.default_params with Analysis.samples; seed; confidence } )
+    (backend, { Analysis.samples; seed; confidence })
   in
   Term.(const combine $ analysis_backend_arg $ samples $ seed $ confidence)
 
-let analysis_arg_error params =
-  if params.Analysis.samples <= 0 then Some "--samples must be positive"
-  else if not (params.Analysis.confidence > 0.0 && params.Analysis.confidence < 1.0)
-  then Some "--confidence must be strictly between 0 and 1"
-  else None
-
-(* Resolve SPEC into an analysis problem (dense when it fits, cube-level
-   up to 61 inputs otherwise) and run [f]. *)
-let with_problem input f =
-  match Flow.load_problem input with
-  | Ok t -> f t
-  | Error e ->
-      Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-      1
+(* Validate the analysis flags, resolve SPEC into an analysis problem
+   (dense when it fits, cube-level up to 61 inputs otherwise) and run
+   [f].  Every refusal is one "rdca:" line and exit 1, before any
+   output. *)
+let with_analysis input (backend, params) jobs f =
+  with_jobs_opt jobs @@ fun () ->
+  let refuse msg =
+    Fmt.epr "rdca: %s@." msg;
+    1
+  in
+  if params.Analysis.samples <= 0 then refuse "--samples must be positive"
+  else if
+    not (params.Analysis.confidence > 0.0 && params.Analysis.confidence < 1.0)
+  then refuse "--confidence must be strictly between 0 and 1"
+  else
+    match Flow.load_problem input with
+    | Error e -> refuse (Flow.error_to_string e)
+    | Ok t when backend = Analysis.Exhaustive && Analysis.dense_spec t = None
+      ->
+        refuse
+          (Printf.sprintf
+             "%s: --analysis exhaustive needs a dense specification; this \
+              one has %d inputs and is cube-level"
+             input (Analysis.ni t))
+    | Ok t -> f t
 
 let stats_cmd =
-  let run input (backend, params) jobs =
-    with_jobs_opt jobs @@ fun () ->
-    match analysis_arg_error params with
-    | Some msg ->
-        Fmt.epr "rdca: %s@." msg;
-        1
-    | None ->
-        with_problem input @@ fun t ->
-        let module A = Analysis in
-        let resolved = A.resolve ~params t backend in
-        Fmt.pr "inputs:   %d@." (A.ni t);
-        Fmt.pr "outputs:  %d@." (A.no t);
-        Fmt.pr "analysis: %s%s@."
-          (A.backend_name resolved)
-          (if backend = A.Auto then " (auto)" else "");
-        let no = A.no t in
-        let fdc_sum = ref 0.0 and ecf_sum = ref 0.0 and cf_sum = ref 0.0 in
-        let rows =
-          List.init no (fun o ->
-              let f1, f0, fdc = A.signal_probs ~params ~backend t ~o in
-              let cf = A.complexity_factor ~params ~backend t ~o in
-              let e1 = A.value_est f1
-              and e0 = A.value_est f0
-              and edc = A.value_est fdc in
-              fdc_sum := !fdc_sum +. edc;
-              ecf_sum := !ecf_sum +. (e1 *. e1) +. (e0 *. e0) +. (edc *. edc);
-              cf_sum := !cf_sum +. A.value_est cf;
-              (o, e1, e0, edc, A.value_est cf))
-        in
-        Fmt.pr "%%DC:      %.1f@." (100.0 *. !fdc_sum /. float_of_int no);
-        Fmt.pr "E[C^f]:   %.3f@." (!ecf_sum /. float_of_int no);
-        Fmt.pr "C^f:      %.3f@." (!cf_sum /. float_of_int no);
-        let b = A.mean_bounds ~params ~backend t in
-        Fmt.pr "error-rate bounds: base=%a  min=%a  max=%a@." A.pp_value
-          b.A.base A.pp_value (A.min_rate b) A.pp_value (A.max_rate b);
-        List.iter
-          (fun (o, f1, f0, fdc, cf) ->
-            Fmt.pr "  y%d: f1=%.3f f0=%.3f fdc=%.3f C^f=%.3f@." o f1 f0 fdc cf)
-          rows;
-        0
+  let run input ((backend, params) as analysis) jobs =
+    with_analysis input analysis jobs @@ fun t ->
+    let module A = Analysis in
+    let resolved = A.resolve t backend in
+    Fmt.pr "inputs:   %d@." (A.ni t);
+    Fmt.pr "outputs:  %d@." (A.no t);
+    Fmt.pr "analysis: %s%s@."
+      (A.backend_name resolved)
+      (if backend = A.Auto then " (auto)" else "");
+    let no = A.no t in
+    let fdc_sum = ref 0.0 and ecf_sum = ref 0.0 and cf_sum = ref 0.0 in
+    let rows =
+      List.init no (fun o ->
+          let f1, f0, fdc = A.signal_probs ~params ~backend t ~o in
+          let cf = A.complexity_factor ~params ~backend t ~o in
+          let e1 = A.value_est f1
+          and e0 = A.value_est f0
+          and edc = A.value_est fdc in
+          fdc_sum := !fdc_sum +. edc;
+          ecf_sum := !ecf_sum +. (e1 *. e1) +. (e0 *. e0) +. (edc *. edc);
+          cf_sum := !cf_sum +. A.value_est cf;
+          (o, e1, e0, edc, A.value_est cf))
+    in
+    Fmt.pr "%%DC:      %.1f@." (100.0 *. !fdc_sum /. float_of_int no);
+    Fmt.pr "E[C^f]:   %.3f@." (!ecf_sum /. float_of_int no);
+    Fmt.pr "C^f:      %.3f@." (!cf_sum /. float_of_int no);
+    let b = A.mean_bounds ~params ~backend t in
+    Fmt.pr "error-rate bounds: base=%a  min=%a  max=%a@." A.pp_value
+      b.A.base A.pp_value (A.min_rate b) A.pp_value (A.max_rate b);
+    List.iter
+      (fun (o, f1, f0, fdc, cf) ->
+        Fmt.pr "  y%d: f1=%.3f f0=%.3f fdc=%.3f C^f=%.3f@." o f1 f0 fdc cf)
+      rows;
+    0
   in
   let doc = "Print function statistics and reliability bounds" in
   Cmd.v (Cmd.info "stats" ~doc)
@@ -911,27 +912,21 @@ let gen_cmd =
       $ output_arg)
 
 let estimate_cmd =
-  let run input (backend, params) jobs =
-    with_jobs_opt jobs @@ fun () ->
-    match analysis_arg_error params with
-    | Some msg ->
-        Fmt.epr "rdca: %s@." msg;
-        1
-    | None ->
-        with_problem input @@ fun t ->
-        let module A = Analysis in
-        let module Est = Reliability.Estimate in
-        let resolved = A.resolve ~params t backend in
-        Fmt.pr "analysis:       %s@." (A.backend_name resolved);
-        let b = A.mean_bounds ~params ~backend t in
-        Fmt.pr "%s bounds:   [%a, %a]@."
-          (match resolved with A.Sampled -> "sampled" | _ -> "exact  ")
-          A.pp_value (A.min_rate b) A.pp_value (A.max_rate b);
-        let s = A.mean_signal_interval ~params ~backend t in
-        let bo = A.mean_border_interval ~params ~backend t in
-        Fmt.pr "signal-based:   [%.4f, %.4f]@." s.Est.lo s.Est.hi;
-        Fmt.pr "border-based:   [%.4f, %.4f]@." bo.Est.lo bo.Est.hi;
-        0
+  let run input ((backend, params) as analysis) jobs =
+    with_analysis input analysis jobs @@ fun t ->
+    let module A = Analysis in
+    let module Est = Reliability.Estimate in
+    let resolved = A.resolve t backend in
+    Fmt.pr "analysis:       %s@." (A.backend_name resolved);
+    let b = A.mean_bounds ~params ~backend t in
+    Fmt.pr "%s bounds:   [%a, %a]@."
+      (match resolved with A.Sampled -> "sampled" | _ -> "exact  ")
+      A.pp_value (A.min_rate b) A.pp_value (A.max_rate b);
+    let s = A.mean_signal_interval ~params ~backend t in
+    let bo = A.mean_border_interval ~params ~backend t in
+    Fmt.pr "signal-based:   [%.4f, %.4f]@." s.Est.lo s.Est.hi;
+    Fmt.pr "border-based:   [%.4f, %.4f]@." bo.Est.lo bo.Est.hi;
+    0
   in
   let doc = "Analytical min-max reliability estimates vs exact bounds" in
   Cmd.v (Cmd.info "estimate" ~doc)
@@ -943,25 +938,15 @@ let estimate_cmd =
    same report as JSON for CI consumption.  Exit 1 iff any
    error-severity diagnostic. *)
 let equiv_engine_arg =
-  let doc = "Care-set equivalence engine: auto | exhaustive | bdd." in
-  Arg.(
-    value
-    & opt (enum
-             [ ("auto", Check.Netlist_check.Auto);
-               ("exhaustive", Check.Netlist_check.Exhaustive);
-               ("bdd", Check.Netlist_check.Bdd_backed) ])
-        Check.Netlist_check.Auto
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let check_cutoff_arg =
   let doc =
-    "Input count up to which the $(b,auto) equivalence engine simulates \
-     exhaustively; beyond it the BDD engine takes over."
+    "Care-set equivalence engine: $(b,auto) simulates exhaustively on small \
+     specs and builds BDDs beyond; $(b,exhaustive) or $(b,bdd) forces either \
+     side."
   in
   Arg.(
     value
-    & opt int Check.Netlist_check.default_auto_cutoff
-    & info [ "check-cutoff" ] ~docv:"N" ~doc)
+    & opt (enum Check.Netlist_check.equiv_engines) Check.Netlist_check.Auto
+    & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let max_diags_arg =
   let doc =
@@ -992,13 +977,9 @@ let check_cmd =
       json;
     if Diag.has_errors diags then 1 else 0
   in
-  let run input strategy mode engine cutoff max_diags lint_only json jobs =
+  let run input strategy mode engine max_diags lint_only json jobs =
     with_jobs_opt jobs @@ fun () ->
-    if cutoff < 0 then begin
-      Fmt.epr "rdca: --check-cutoff must be non-negative@.";
-      1
-    end
-    else if (match max_diags with Some n -> n < 0 | None -> false) then begin
+    if (match max_diags with Some n -> n < 0 | None -> false) then begin
       Fmt.epr "rdca: --max-diags must be non-negative@.";
       1
     end
@@ -1028,8 +1009,7 @@ let check_cmd =
               in
               let structure = Check.Netlist_check.check r.Flow.netlist in
               let equiv_diags =
-                Check.Netlist_check.equiv_spec ~engine ~auto_cutoff:cutoff
-                  ~spec r.Flow.netlist
+                Check.Netlist_check.equiv_spec ~engine ~spec r.Flow.netlist
               in
               emit input json (lint @ cover_diags @ structure @ equiv_diags)
         end
@@ -1039,7 +1019,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ equiv_engine_arg
-      $ check_cutoff_arg $ max_diags_arg $ lint_only_arg $ json_arg $ jobs_arg)
+      $ max_diags_arg $ lint_only_arg $ json_arg $ jobs_arg)
 
 (* Post-mapping don't-care recovery: synthesize, sweep the windowed
    ODC/SDC analysis over the mapped netlist, rewrite node functions on
@@ -1059,15 +1039,12 @@ let optimize_cmd =
   in
   let dc_backend_arg =
     let doc =
-      "Window engine: auto | sat | bdd | differential (run both, fail on any \
-       mismatch)."
+      "Window engine, " ^ Arg.doc_alts_enum Dc.backends
+      ^ "; $(b,differential) runs both and fails on any mismatch."
     in
     Arg.(
       value
-      & opt (enum
-               [ ("auto", Dc.Auto); ("sat", Dc.Sat_engine);
-                 ("bdd", Dc.Bdd_engine); ("differential", Dc.Differential) ])
-          Dc.Auto
+      & opt (enum Dc.backends) Dc.Auto
       & info [ "dc-backend" ] ~docv:"ENGINE" ~doc)
   in
   let dc_strategy_args =
@@ -1101,15 +1078,10 @@ let optimize_cmd =
     let doc = "Write the DC-extraction report as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run input strategy mode depth backend dc_strategy engine cutoff json jobs
-      =
+  let run input strategy mode depth backend dc_strategy engine json jobs =
     with_jobs_opt jobs @@ fun () ->
     if depth < 1 then begin
       Fmt.epr "rdca: --dc-window must be at least 1@.";
-      1
-    end
-    else if cutoff < 0 then begin
-      Fmt.epr "rdca: --check-cutoff must be non-negative@.";
       1
     end
     else
@@ -1121,8 +1093,8 @@ let optimize_cmd =
       | Ok r -> (
           let config = { Dc.default_config with Dc.depth; backend } in
           match
-            Flow.optimize_checked ~config ~dc_strategy ~equiv:engine
-              ~auto_cutoff:cutoff ~spec r.Flow.netlist
+            Flow.optimize_checked ~config ~dc_strategy ~equiv:engine ~spec
+              r.Flow.netlist
           with
           | Error (Flow.Check_failed { diags; _ }) ->
               Fmt.pr "%a@." Diag.pp_report diags;
@@ -1155,8 +1127,8 @@ let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ dc_window_arg
-      $ dc_backend_arg $ dc_strategy_args $ equiv_engine_arg
-      $ check_cutoff_arg $ json_arg $ jobs_arg)
+      $ dc_backend_arg $ dc_strategy_args $ equiv_engine_arg $ json_arg
+      $ jobs_arg)
 
 (* Static stuck-at testability analysis: synthesize, enumerate and
    collapse the fault universe, decide every class with the selected
@@ -1171,17 +1143,13 @@ let testability_cmd =
   let module Engine = Atpg.Engine in
   let backend_arg =
     let doc =
-      "Test-generation engine: auto | sat | exhaustive | bdd | differential \
-       (SAT plus a reference engine on every fault, fail on any verdict \
-       mismatch)."
+      "Test-generation engine, " ^ Arg.doc_alts_enum Engine.backends
+      ^ "; $(b,differential) runs SAT plus a reference engine on every \
+         fault and fails on any verdict mismatch."
     in
     Arg.(
       value
-      & opt (enum
-               [ ("auto", Engine.Auto); ("sat", Engine.Sat_engine);
-                 ("exhaustive", Engine.Exhaustive); ("bdd", Engine.Bdd_engine);
-                 ("differential", Engine.Differential) ])
-          Engine.Auto
+      & opt (enum Engine.backends) Engine.Auto
       & info [ "backend" ] ~docv:"ENGINE" ~doc)
   in
   let collapse_arg =
@@ -1219,14 +1187,10 @@ let testability_cmd =
         ("final", Engine.report_to_json rem.Atpg.Redundancy.final_report);
       ]
   in
-  let run input strategy mode backend collapse remove engine cutoff max_diags
-      json jobs =
+  let run input strategy mode backend collapse remove engine max_diags json
+      jobs =
     with_jobs_opt jobs @@ fun () ->
-    if cutoff < 0 then begin
-      Fmt.epr "rdca: --check-cutoff must be non-negative@.";
-      1
-    end
-    else if (match max_diags with Some n -> n < 0 | None -> false) then begin
+    if (match max_diags with Some n -> n < 0 | None -> false) then begin
       Fmt.epr "rdca: --max-diags must be non-negative@.";
       1
     end
@@ -1270,8 +1234,8 @@ let testability_cmd =
                 if not remove then Ok None
                 else
                   match
-                    Flow.remove_redundant_checked ~config ~equiv:engine
-                      ~auto_cutoff:cutoff ~spec nl
+                    Flow.remove_redundant_checked ~config ~equiv:engine ~spec
+                      nl
                   with
                   | Error (Flow.Check_failed { diags = d; _ }) ->
                       Fmt.pr "%a@." Diag.pp_report d;
@@ -1323,8 +1287,8 @@ let testability_cmd =
   Cmd.v (Cmd.info "testability" ~doc)
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ backend_arg
-      $ collapse_arg $ remove_arg $ equiv_engine_arg $ check_cutoff_arg
-      $ max_diags_arg $ json_arg $ jobs_arg)
+      $ collapse_arg $ remove_arg $ equiv_engine_arg $ max_diags_arg
+      $ json_arg $ jobs_arg)
 
 let suite_cmd =
   let run () =

@@ -5,20 +5,16 @@ module J = Rdca_json.Jsonout
 
 type backend = Auto | Sat_engine | Exhaustive | Bdd_engine | Differential
 
-let backend_name = function
-  | Auto -> "auto"
-  | Sat_engine -> "sat"
-  | Exhaustive -> "exhaustive"
-  | Bdd_engine -> "bdd"
-  | Differential -> "differential"
+let backends =
+  [
+    ("auto", Auto);
+    ("sat", Sat_engine);
+    ("exhaustive", Exhaustive);
+    ("bdd", Bdd_engine);
+    ("differential", Differential);
+  ]
 
-let backend_of_name = function
-  | "auto" -> Some Auto
-  | "sat" -> Some Sat_engine
-  | "exhaustive" -> Some Exhaustive
-  | "bdd" -> Some Bdd_engine
-  | "differential" -> Some Differential
-  | _ -> None
+let backend_name b = fst (List.find (fun (_, b') -> b' = b) backends)
 
 type config = { backend : backend; collapse : Fault.mode; auto_cutoff : int }
 
@@ -190,41 +186,6 @@ let exhaustive_decide nl (f : Fault.t) =
     | None -> (Untestable, None)
   end
 
-let bdd_of_gate man g fb =
-  let fold op =
-    let acc = ref fb.(0) in
-    for i = 1 to Array.length fb - 1 do
-      acc := op man !acc fb.(i)
-    done;
-    !acc
-  in
-  match g with
-  | Gate.Input _ -> invalid_arg "Atpg.Engine.bdd_of_gate: Input"
-  | Gate.Const v -> if v then Bdd.one man else Bdd.zero man
-  | Gate.Buf -> fb.(0)
-  | Gate.Not -> Bdd.bnot man fb.(0)
-  | Gate.And -> fold Bdd.band
-  | Gate.Or -> fold Bdd.bor
-  | Gate.Nand -> Bdd.bnot man (fold Bdd.band)
-  | Gate.Nor -> Bdd.bnot man (fold Bdd.bor)
-  | Gate.Xor -> fold Bdd.bxor
-  | Gate.Xnor -> Bdd.bnot man (fold Bdd.bxor)
-  | Gate.Cell c ->
-      let acc = ref (Bdd.zero man) in
-      for idx = 0 to (1 lsl c.Gate.arity) - 1 do
-        if Logic.Truth.eval c.Gate.tt idx then begin
-          let cube = ref (Bdd.one man) in
-          for i = 0 to c.Gate.arity - 1 do
-            let f =
-              if idx land (1 lsl i) <> 0 then fb.(i) else Bdd.bnot man fb.(i)
-            in
-            cube := Bdd.band man !cube f
-          done;
-          acc := Bdd.bor man !acc !cube
-        end
-      done;
-      !acc
-
 (* BDD backend: good and faulty cones as BDDs over the inputs, the
    miter checked for constant zero. *)
 let bdd_decide nl (f : Fault.t) =
@@ -239,7 +200,7 @@ let bdd_decide nl (f : Fault.t) =
       good.(i) <- Bdd.var man i
     done;
     Netlist.iter_nodes nl (fun v g fis ->
-        good.(v) <- bdd_of_gate man g (Array.map (fun i -> good.(i)) fis));
+        good.(v) <- Bdd.of_gate man g (Array.map (fun i -> good.(i)) fis));
     let bad = Array.copy good in
     let const b = if b then Bdd.one man else Bdd.zero man in
     (match f.Fault.pin with
@@ -251,10 +212,10 @@ let bdd_decide nl (f : Fault.t) =
             (fun k i -> if k = j then const f.Fault.stuck else good.(i))
             fis
         in
-        bad.(f.Fault.node) <- bdd_of_gate man (Netlist.gate nl f.Fault.node) fb);
+        bad.(f.Fault.node) <- Bdd.of_gate man (Netlist.gate nl f.Fault.node) fb);
     Netlist.iter_nodes nl (fun v g fis ->
         if v <> f.Fault.node && affected.(v) then
-          bad.(v) <- bdd_of_gate man g (Array.map (fun i -> bad.(i)) fis));
+          bad.(v) <- Bdd.of_gate man g (Array.map (fun i -> bad.(i)) fis));
     let miter = ref (Bdd.zero man) in
     Array.iter
       (fun o ->

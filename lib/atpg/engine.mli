@@ -22,9 +22,10 @@
 
 type backend = Auto | Sat_engine | Exhaustive | Bdd_engine | Differential
 
-val backend_name : backend -> string
+(** Every backend once, with its CLI/JSON name. *)
+val backends : (string * backend) list
 
-val backend_of_name : string -> backend option
+val backend_name : backend -> string
 
 type config = {
   backend : backend;

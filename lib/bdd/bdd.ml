@@ -247,6 +247,42 @@ let of_cover m cover =
     0
     (Twolevel.Cover.cubes cover)
 
+let of_gate m (g : Netlist.Gate.t) fanins =
+  let fold op =
+    let acc = ref fanins.(0) in
+    for i = 1 to Array.length fanins - 1 do
+      acc := op m !acc fanins.(i)
+    done;
+    !acc
+  in
+  match g with
+  | Netlist.Gate.Input _ -> invalid_arg "Bdd.of_gate: Input has no fanins"
+  | Const v -> if v then 1 else 0
+  | Buf -> fanins.(0)
+  | Not -> bnot m fanins.(0)
+  | And -> fold band
+  | Or -> fold bor
+  | Nand -> bnot m (fold band)
+  | Nor -> bnot m (fold bor)
+  | Xor -> fold bxor
+  | Xnor -> bnot m (fold bxor)
+  | Cell c ->
+      (* OR over the minterms of the cell's truth table. *)
+      let acc = ref 0 in
+      for idx = 0 to (1 lsl c.arity) - 1 do
+        if Logic.Truth.eval c.tt idx then begin
+          let cube = ref 1 in
+          for i = 0 to c.arity - 1 do
+            let f =
+              if idx land (1 lsl i) <> 0 then fanins.(i) else bnot m fanins.(i)
+            in
+            cube := band m !cube f
+          done;
+          acc := bor m !acc !cube
+        end
+      done;
+      !acc
+
 let of_bv m bv =
   if Bitvec.Bv.length bv <> 1 lsl m.nvars then
     invalid_arg "Bdd.of_bv: length mismatch";

@@ -102,6 +102,13 @@ val of_cover : man -> Twolevel.Cover.t -> t
 (** [of_cube man cube] builds the BDD of a single cube. *)
 val of_cube : man -> Twolevel.Cube.t -> t
 
+(** [of_gate man g fanins] builds the output of one netlist gate over
+    the BDDs of its fanins (pin order = array order) — the BDD
+    counterpart of [Sat.Cnf.gate].  Variadic gates fold left from
+    [fanins.(0)]; a [Cell] is the OR of its truth table's minterms.
+    @raise Invalid_argument on [Input] gates. *)
+val of_gate : man -> Netlist.Gate.t -> t array -> t
+
 (** [of_bv man bv] builds the BDD of a dense characteristic vector
     (length must be [2^nvars]). *)
 val of_bv : man -> Bitvec.Bv.t -> t

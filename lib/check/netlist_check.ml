@@ -207,6 +207,9 @@ let check_aig aig = structure (graph_of_aig aig)
 
 type equiv_engine = Auto | Exhaustive | Bdd_backed
 
+let equiv_engines =
+  [ ("auto", Auto); ("exhaustive", Exhaustive); ("bdd", Bdd_backed) ]
+
 (* Build one BDD per primary output by structural traversal. *)
 let bdds_of_netlist man nl =
   let n = Netlist.node_count nl and ni = Netlist.ni nl in
@@ -215,45 +218,7 @@ let bdds_of_netlist man nl =
     values.(i) <- Bdd.var man i
   done;
   Netlist.iter_nodes nl (fun id gate fi ->
-      let f k = values.(fi.(k)) in
-      let fold op init =
-        let acc = ref init in
-        for k = 0 to Array.length fi - 1 do
-          acc := op !acc (f k)
-        done;
-        !acc
-      in
-      let v =
-        match gate with
-        | Netlist.Gate.Input i -> Bdd.var man i
-        | Netlist.Gate.Const b -> if b then Bdd.one man else Bdd.zero man
-        | Netlist.Gate.Buf -> f 0
-        | Netlist.Gate.Not -> Bdd.bnot man (f 0)
-        | Netlist.Gate.And -> fold (Bdd.band man) (Bdd.one man)
-        | Netlist.Gate.Nand -> Bdd.bnot man (fold (Bdd.band man) (Bdd.one man))
-        | Netlist.Gate.Or -> fold (Bdd.bor man) (Bdd.zero man)
-        | Netlist.Gate.Nor -> Bdd.bnot man (fold (Bdd.bor man) (Bdd.zero man))
-        | Netlist.Gate.Xor -> fold (Bdd.bxor man) (Bdd.zero man)
-        | Netlist.Gate.Xnor -> Bdd.bnot man (fold (Bdd.bxor man) (Bdd.zero man))
-        | Netlist.Gate.Cell { tt; arity; _ } ->
-            (* OR over the minterms of the cell's truth table. *)
-            let acc = ref (Bdd.zero man) in
-            for idx = 0 to (1 lsl arity) - 1 do
-              if Logic.Truth.eval tt idx then begin
-                let term = ref (Bdd.one man) in
-                for k = 0 to arity - 1 do
-                  let pin = f k in
-                  let lit =
-                    if idx land (1 lsl k) <> 0 then pin else Bdd.bnot man pin
-                  in
-                  term := Bdd.band man !term lit
-                done;
-                acc := Bdd.bor man !acc !term
-              end
-            done;
-            !acc
-      in
-      values.(id) <- v);
+      values.(id) <- Bdd.of_gate man gate (Array.map (fun k -> values.(k)) fi));
   Array.map (fun o -> values.(o)) (Netlist.outputs nl)
 
 (* First set bit, or -1. *)
@@ -312,9 +277,7 @@ let equiv_bdd ~spec nl =
     outs;
   List.rev !diags
 
-let default_auto_cutoff = 12
-
-let equiv_spec ?(engine = Auto) ?(auto_cutoff = default_auto_cutoff) ~spec nl =
+let equiv_spec ?(engine = Auto) ~spec nl =
   if Netlist.ni nl <> Spec.ni spec then
     [
       Diag.error ~code:"arity-mismatch" ~loc:Diag.Global
@@ -330,5 +293,5 @@ let equiv_spec ?(engine = Auto) ?(auto_cutoff = default_auto_cutoff) ~spec nl =
     | Exhaustive -> equiv_exhaustive ~spec nl
     | Bdd_backed -> equiv_bdd ~spec nl
     | Auto ->
-        if Spec.ni spec <= auto_cutoff then equiv_exhaustive ~spec nl
+        if Spec.ni spec <= 12 then equiv_exhaustive ~spec nl
         else equiv_bdd ~spec nl

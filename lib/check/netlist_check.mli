@@ -48,20 +48,15 @@ val check_aig : Aig.t -> Diag.t list
 (** Engine for the care-set equivalence proof. *)
 type equiv_engine = Auto | Exhaustive | Bdd_backed
 
-(** The input count up to which [Auto] picks [Exhaustive] (12). *)
-val default_auto_cutoff : int
+(** Every engine once, with its CLI name. *)
+val equiv_engines : (string * equiv_engine) list
 
 (** [equiv_spec ~engine ~spec nl] proves the mapped netlist agrees
     with [spec] on every care minterm of every output:
     [arity-mismatch] errors when input/output counts differ, otherwise
     one [care-set-mismatch] error per disagreeing output (with mismatch
     count and an example minterm).  [Auto] (the default) uses
-    [Exhaustive] up to [auto_cutoff] inputs (default
-    {!default_auto_cutoff}; the CLI's [--check-cutoff]) and
-    [Bdd_backed] beyond. *)
+    [Exhaustive] up to 12 inputs and [Bdd_backed] beyond; either
+    engine can be forced. *)
 val equiv_spec :
-  ?engine:equiv_engine ->
-  ?auto_cutoff:int ->
-  spec:Pla.Spec.t ->
-  Netlist.t ->
-  Diag.t list
+  ?engine:equiv_engine -> spec:Pla.Spec.t -> Netlist.t -> Diag.t list

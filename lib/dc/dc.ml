@@ -6,11 +6,15 @@ module J = Rdca_json.Jsonout
 
 type backend = Auto | Sat_engine | Bdd_engine | Differential
 
-let backend_name = function
-  | Auto -> "auto"
-  | Sat_engine -> "sat"
-  | Bdd_engine -> "bdd"
-  | Differential -> "differential"
+let backends =
+  [
+    ("auto", Auto);
+    ("sat", Sat_engine);
+    ("bdd", Bdd_engine);
+    ("differential", Differential);
+  ]
+
+let backend_name b = fst (List.find (fun (_, b') -> b' = b) backends)
 
 type config = {
   depth : int;
@@ -104,41 +108,6 @@ let sat_masks nl (w : Window.t) =
 (* ------------------------------------------------------------------ *)
 (* BDD engine: window functions over the leaf variables, exact. *)
 
-let bdd_of_gate man g fb =
-  let fold op =
-    let acc = ref fb.(0) in
-    for i = 1 to Array.length fb - 1 do
-      acc := op man !acc fb.(i)
-    done;
-    !acc
-  in
-  match g with
-  | Gate.Input _ -> invalid_arg "Dc.bdd_of_gate: Input"
-  | Gate.Const v -> if v then Bdd.one man else Bdd.zero man
-  | Gate.Buf -> fb.(0)
-  | Gate.Not -> Bdd.bnot man fb.(0)
-  | Gate.And -> fold Bdd.band
-  | Gate.Or -> fold Bdd.bor
-  | Gate.Nand -> Bdd.bnot man (fold Bdd.band)
-  | Gate.Nor -> Bdd.bnot man (fold Bdd.bor)
-  | Gate.Xor -> fold Bdd.bxor
-  | Gate.Xnor -> Bdd.bnot man (fold Bdd.bxor)
-  | Gate.Cell c ->
-      let acc = ref (Bdd.zero man) in
-      for idx = 0 to (1 lsl c.Gate.arity) - 1 do
-        if Logic.Truth.eval c.Gate.tt idx then begin
-          let cube = ref (Bdd.one man) in
-          for i = 0 to c.Gate.arity - 1 do
-            let f =
-              if idx land (1 lsl i) <> 0 then fb.(i) else Bdd.bnot man fb.(i)
-            in
-            cube := Bdd.band man !cube f
-          done;
-          acc := Bdd.bor man !acc !cube
-        end
-      done;
-      !acc
-
 let bdd_masks nl (w : Window.t) =
   let nv = Array.length w.Window.leaves in
   let man = Bdd.make_man ~nvars:(max 1 nv) in
@@ -147,7 +116,7 @@ let bdd_masks nl (w : Window.t) =
   Array.iter
     (fun n ->
       let fb = Array.map (Hashtbl.find bdd) (Netlist.fanins nl n) in
-      Hashtbl.replace bdd n (bdd_of_gate man (Netlist.gate nl n) fb))
+      Hashtbl.replace bdd n (Bdd.of_gate man (Netlist.gate nl n) fb))
     w.Window.members;
   let in_tfo = Hashtbl.create 16 in
   Array.iter (fun n -> Hashtbl.replace in_tfo n ()) w.Window.tfo;
@@ -164,7 +133,7 @@ let bdd_masks nl (w : Window.t) =
               else Hashtbl.find bdd f)
             (Netlist.fanins nl n)
         in
-        Hashtbl.replace bdd2 n (bdd_of_gate man (Netlist.gate nl n) fb)
+        Hashtbl.replace bdd2 n (Bdd.of_gate man (Netlist.gate nl n) fb)
       end)
     w.Window.tfo;
   let miter =

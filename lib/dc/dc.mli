@@ -31,6 +31,9 @@
     both and compares bit-identically. *)
 type backend = Auto | Sat_engine | Bdd_engine | Differential
 
+(** Every backend once, with its CLI/JSON name. *)
+val backends : (string * backend) list
+
 val backend_name : backend -> string
 
 type config = {

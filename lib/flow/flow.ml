@@ -203,7 +203,7 @@ let measured_error ?(analysis = Reliability.Analysis.Exhaustive)
     Array.fold_left ( +. ) 0.0 rates /. float_of_int no
   in
   let problem = Reliability.Analysis.of_spec original in
-  match Reliability.Analysis.resolve ?params:analysis_params problem analysis with
+  match Reliability.Analysis.resolve problem analysis with
   | Reliability.Analysis.Exhaustive | Reliability.Analysis.Auto ->
       (* The historical dense path, kept verbatim (and bit-identical). *)
       exhaustive ()
@@ -303,54 +303,41 @@ let synthesize_checked ?lib ?factored ?budget ?analysis ?analysis_params ?equiv
         Error (Check_failed { subject = "implementation"; diags })
       else Ok (r, diags)
 
-let optimize_checked ?config ?dc_strategy ?equiv ?auto_cutoff ~spec nl =
-  match Rdca_dc.Dc.optimize ?config ?strategy:dc_strategy nl with
+(* The gate every checked netlist rewrite passes: library exceptions
+   become [Synthesis_failure], a [Differential] disagreement between
+   [engines] refuses under [code], and the rewritten netlist must
+   still realise [spec] on its care set. *)
+let checked_rewrite ~subject ~code ~engines ~units ?equiv ~spec rewrite =
+  match rewrite () with
   | exception Invalid_argument msg -> Error (Synthesis_failure msg)
   | exception Failure msg -> Error (Synthesis_failure msg)
-  | opt ->
-      if opt.Rdca_dc.Dc.opt_report.Rdca_dc.Dc.disagreements > 0 then
-        let diags =
+  | result, netlist, disagreements ->
+      let refuse diags = Error (Check_failed { subject; diags }) in
+      if disagreements > 0 then
+        refuse
           [
-            Check.Diag.error ~code:"dc-backend-mismatch" ~loc:Check.Diag.Global
-              "SAT and BDD don't-care engines disagree on %d window(s)"
-              opt.Rdca_dc.Dc.opt_report.Rdca_dc.Dc.disagreements;
+            Check.Diag.error ~code ~loc:Check.Diag.Global
+              "%s disagree on %d %s" engines disagreements units;
           ]
-        in
-        Error (Check_failed { subject = "dc-optimize"; diags })
       else
-        let diags =
-          Check.Netlist_check.equiv_spec ?engine:equiv ?auto_cutoff ~spec
-            opt.Rdca_dc.Dc.netlist
-        in
-        if Check.Diag.has_errors diags then
-          Error (Check_failed { subject = "dc-optimize"; diags })
-        else Ok (opt, diags)
+        let diags = Check.Netlist_check.equiv_spec ?engine:equiv ~spec netlist in
+        if Check.Diag.has_errors diags then refuse diags else Ok (result, diags)
 
-let remove_redundant_checked ?config ?max_iterations ?equiv ?auto_cutoff ~spec
-    nl =
-  match Atpg.Redundancy.remove ?config ?max_iterations nl with
-  | exception Invalid_argument msg -> Error (Synthesis_failure msg)
-  | exception Failure msg -> Error (Synthesis_failure msg)
-  | rem ->
-      if rem.Atpg.Redundancy.final_report.Atpg.Engine.disagreements > 0 then
-        let diags =
-          [
-            Check.Diag.error ~code:"atpg-backend-mismatch"
-              ~loc:Check.Diag.Global
-              "SAT and reference testability backends disagree on %d fault \
-               class(es)"
-              rem.Atpg.Redundancy.final_report.Atpg.Engine.disagreements;
-          ]
-        in
-        Error (Check_failed { subject = "redundancy-removal"; diags })
-      else
-        let diags =
-          Check.Netlist_check.equiv_spec ?engine:equiv ?auto_cutoff ~spec
-            rem.Atpg.Redundancy.netlist
-        in
-        if Check.Diag.has_errors diags then
-          Error (Check_failed { subject = "redundancy-removal"; diags })
-        else Ok (rem, diags)
+let optimize_checked ?config ?dc_strategy ?equiv ~spec nl =
+  let module Dc = Rdca_dc.Dc in
+  checked_rewrite ~subject:"dc-optimize" ~code:"dc-backend-mismatch"
+    ~engines:"SAT and BDD don't-care engines" ~units:"window(s)" ?equiv ~spec
+    (fun () ->
+      let opt = Dc.optimize ?config ?strategy:dc_strategy nl in
+      (opt, opt.Dc.netlist, opt.Dc.opt_report.Dc.disagreements))
+
+let remove_redundant_checked ?config ?max_iterations ?equiv ~spec nl =
+  let module R = Atpg.Redundancy in
+  checked_rewrite ~subject:"redundancy-removal" ~code:"atpg-backend-mismatch"
+    ~engines:"SAT and reference testability backends"
+    ~units:"fault class(es)" ?equiv ~spec (fun () ->
+      let rem = R.remove ?config ?max_iterations nl in
+      (rem, rem.R.netlist, rem.R.final_report.Atpg.Engine.disagreements))
 
 let implement_shared spec =
   let ni = Spec.ni spec and no = Spec.no spec in

@@ -216,11 +216,11 @@ val synthesize_checked :
     functions on their windowed don't cares, gated here by the same
     care-set equivalence proof the synthesis audit uses. *)
 
-(** [optimize_checked ?config ?dc_strategy ?equiv ?auto_cutoff ~spec nl]
-    runs the windowed DC optimizer on [nl] and proves the rewritten
-    netlist still realises [spec] on its care set
-    ({!Check.Netlist_check.equiv_spec} with the given engine and
-    [Auto] cutoff).  Failure paths are structured: a [Differential]
+(** [optimize_checked ?config ?dc_strategy ?equiv ~spec nl] runs the
+    windowed DC optimizer on [nl] and proves the rewritten netlist
+    still realises [spec] on its care set
+    ({!Check.Netlist_check.equiv_spec} with the given engine).
+    Failure paths are structured: a [Differential]
     backend disagreement refuses with [Check_failed] (code
     [dc-backend-mismatch]), as does any care-set mismatch — the
     optimizer's rewrites are function-preserving by construction, so a
@@ -230,13 +230,12 @@ val optimize_checked :
   ?config:Rdca_dc.Dc.config ->
   ?dc_strategy:Rdca_dc.Dc.strategy ->
   ?equiv:Check.Netlist_check.equiv_engine ->
-  ?auto_cutoff:int ->
   spec:Pla.Spec.t ->
   Netlist.t ->
   (Rdca_dc.Dc.opt_result * Check.Diag.t list, error) Stdlib.result
 
-(** [remove_redundant_checked ?config ?max_iterations ?equiv
-    ?auto_cutoff ~spec nl] runs untestable-fault redundancy removal
+(** [remove_redundant_checked ?config ?max_iterations ?equiv ~spec nl]
+    runs untestable-fault redundancy removal
     ({!Atpg.Redundancy.remove}) and proves the rewritten netlist still
     realises [spec] on its care set, the same gate as
     {!optimize_checked}: a [Differential] verdict disagreement refuses
@@ -248,7 +247,6 @@ val remove_redundant_checked :
   ?config:Atpg.Engine.config ->
   ?max_iterations:int ->
   ?equiv:Check.Netlist_check.equiv_engine ->
-  ?auto_cutoff:int ->
   spec:Pla.Spec.t ->
   Netlist.t ->
   (Atpg.Redundancy.result * Check.Diag.t list, error) Stdlib.result

@@ -3,35 +3,19 @@ module Bv = Bitvec.Bv
 
 type backend = Exhaustive | Bdd_exact | Sampled | Auto
 
-let backend_name = function
-  | Exhaustive -> "exhaustive"
-  | Bdd_exact -> "bdd"
-  | Sampled -> "sample"
-  | Auto -> "auto"
+let backends =
+  [
+    ("auto", Auto);
+    ("exhaustive", Exhaustive);
+    ("bdd", Bdd_exact);
+    ("sample", Sampled);
+  ]
 
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "exhaustive" | "dense" | "table" -> Ok Exhaustive
-  | "bdd" | "symbolic" | "exact" -> Ok Bdd_exact
-  | "sample" | "sampled" | "mc" | "montecarlo" -> Ok Sampled
-  | "auto" -> Ok Auto
-  | _ ->
-      Error
-        (Printf.sprintf
-           "unknown analysis backend %S (expected exhaustive|bdd|sample|auto)"
-           s)
+let backend_name b = fst (List.find (fun (_, b') -> b' = b) backends)
 
-type params = {
-  samples : int;
-  seed : int;
-  confidence : float;
-  exhaustive_max : int;
-  bdd_max : int;
-}
+type params = { samples : int; seed : int; confidence : float }
 
-let default_params =
-  { samples = 100_000; seed = 42; confidence = 0.95; exhaustive_max = 14;
-    bdd_max = 40 }
+let default_params = { samples = 100_000; seed = 42; confidence = 0.95 }
 
 type value = Exact of float | Interval of { est : float; lo : float; hi : float }
 
@@ -103,10 +87,10 @@ let of_cover_sets ~ni outputs =
 let check_output t o =
   if o < 0 || o >= t.no then invalid_arg "Analysis: output out of range"
 
-let resolve ?(params = default_params) t = function
+let resolve t = function
   | Auto ->
-      if t.dense <> None && t.ni <= params.exhaustive_max then Exhaustive
-      else if t.ni <= params.bdd_max then Bdd_exact
+      if t.dense <> None && t.ni <= 14 then Exhaustive
+      else if t.ni <= 40 then Bdd_exact
       else Sampled
   | b -> b
 
@@ -320,7 +304,7 @@ let bounds ?(params = default_params) ~backend t ~o =
   check_output t o;
   if t.ni = 0 then zero_bounds
   else
-    match resolve ~params t backend with
+    match resolve t backend with
     | Auto -> assert false
     | Exhaustive ->
         let b = Error_rate.bounds (dense_exn t) ~o in
@@ -350,7 +334,7 @@ let borders ?(params = default_params) ~backend t ~o =
   check_output t o;
   if t.ni = 0 then { b0 = Exact 0.0; b1 = Exact 0.0; bdc = Exact 0.0 }
   else
-    match resolve ~params t backend with
+    match resolve t backend with
     | Auto -> assert false
     | Exhaustive ->
         let c = Borders.border_counts (dense_exn t) ~o in
@@ -373,7 +357,7 @@ let borders ?(params = default_params) ~backend t ~o =
 
 let signal_probs ?(params = default_params) ~backend t ~o =
   check_output t o;
-  match resolve ~params t backend with
+  match resolve t backend with
   | Auto -> assert false
   | Exhaustive ->
       let f1, f0, fdc = Spec.signal_probs (dense_exn t) ~o in
@@ -399,7 +383,7 @@ let complexity_factor ?(params = default_params) ~backend t ~o =
   check_output t o;
   if t.ni = 0 then Exact 1.0
   else
-    match resolve ~params t backend with
+    match resolve t backend with
     | Auto -> assert false
     | Exhaustive -> Exact (Borders.complexity_factor (dense_exn t) ~o)
     | Bdd_exact -> Exact (sym_stats t o).Sym.cf
@@ -433,7 +417,7 @@ let rate_of_table ?(params = default_params) ~backend t ~o ~impl =
   check_table t impl;
   if t.ni = 0 then Exact 0.0
   else
-    match resolve ~params t backend with
+    match resolve t backend with
     | Auto -> assert false
     | Exhaustive -> Exact (Error_rate.of_table (dense_exn t) ~o ~impl)
     | Bdd_exact ->
@@ -449,7 +433,7 @@ let rate_of_cover ?(params = default_params) ~backend t ~o ~impl =
     invalid_arg "Analysis.rate_of_cover: arity mismatch";
   if t.ni = 0 then Exact 0.0
   else
-    match resolve ~params t backend with
+    match resolve t backend with
     | Auto -> assert false
     | Exhaustive ->
         Exact
@@ -490,7 +474,7 @@ let bonferroni ~params t =
   { params with confidence = 1.0 -. ((1.0 -. params.confidence) /. float_of_int t.no) }
 
 let per_output_params ~params ~backend t =
-  match resolve ~params t backend with
+  match resolve t backend with
   | Sampled -> bonferroni ~params t
   | _ -> params
 

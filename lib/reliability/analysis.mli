@@ -20,28 +20,24 @@
       chunked deterministically and runs through {!Parallel.Pool}, so
       identical seeds give identical results at any job count.
 
-    [Auto] picks an engine from the input count and the thresholds in
-    {!params}.  Results are {!value}s: [Exact] from the first two
-    engines, [Interval] from the sampler. *)
+    [Auto] picks an engine from the input count (see {!resolve}).
+    Results are {!value}s: [Exact] from the first two engines,
+    [Interval] from the sampler. *)
 
 type backend = Exhaustive | Bdd_exact | Sampled | Auto
 
-val backend_name : backend -> string
+(** Every backend once, with its CLI name. *)
+val backends : (string * backend) list
 
-(** [backend_of_string s] accepts [exhaustive], [bdd], [sample] and
-    [auto] (plus a few aliases); [Error] names the valid forms. *)
-val backend_of_string : string -> (backend, string) result
+val backend_name : backend -> string
 
 type params = {
   samples : int;  (** Monte-Carlo draws per analysed output *)
   seed : int;  (** base seed; each (output, chunk) derives its own *)
   confidence : float;  (** Wilson interval confidence, in (0,1) *)
-  exhaustive_max : int;  (** [Auto]: dense sweep while [ni] <= this *)
-  bdd_max : int;  (** [Auto]: symbolic while [ni] <= this, sampled above *)
 }
 
-(** 100_000 samples, seed 42, 95% confidence, exhaustive to n = 14,
-    symbolic to n = 40. *)
+(** 100_000 samples, seed 42, 95% confidence. *)
 val default_params : params
 
 (** A computed quantity: exact from the dense or symbolic engines, a
@@ -77,10 +73,11 @@ val no : t -> int
 (** [dense_spec t] is the dense table when the problem has one. *)
 val dense_spec : t -> Pla.Spec.t option
 
-(** [resolve ?params t backend] is the engine that will actually run —
-    [Auto] resolved against [ni] and the thresholds, everything else
-    returned unchanged.  Never [Auto]. *)
-val resolve : ?params:params -> t -> backend -> backend
+(** [resolve t backend] is the engine that will actually run — [Auto]
+    resolved against [ni], everything else returned unchanged.  Never
+    [Auto].  [Auto] takes [Exhaustive] for dense problems up to 14
+    inputs, [Bdd_exact] up to 40 inputs and [Sampled] beyond. *)
+val resolve : t -> backend -> backend
 
 (** {1 Quantities}
 

@@ -8,8 +8,6 @@ let kind_name = function
   | Stuck_at_1 -> "sa1"
   | Transient -> "transient"
 
-let name_of_kind = kind_name
-
 let all_kinds = [ Stuck_at_0; Stuck_at_1; Transient ]
 
 let kind_of_name = function

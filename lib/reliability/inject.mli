@@ -16,13 +16,10 @@ type kind = Stuck_at_0 | Stuck_at_1 | Transient
 (** A fault site: [node] is a netlist node id. *)
 type fault = { node : int; kind : kind }
 
-(** [kind_name k] is ["sa0"], ["sa1"] or ["transient"]. *)
+(** [kind_name k] is ["sa0"], ["sa1"] or ["transient"] — the
+    canonical serialisation used by campaign JSON records and
+    checkpoint frames. *)
 val kind_name : kind -> string
-
-(** [name_of_kind] is {!kind_name} under the name {!kind_of_name}
-    round-trips with (the canonical serialisation used by campaign
-    JSON records and checkpoint frames). *)
-val name_of_kind : kind -> string
 
 (** [all_kinds] is [[Stuck_at_0; Stuck_at_1; Transient]]. *)
 val all_kinds : kind list

@@ -163,7 +163,7 @@ let test_sampled_coverage () =
   let hit_rate = ref 0 in
   for seed = 0 to seeds - 1 do
     let params =
-      { Analysis.default_params with samples = 1_500; seed; confidence = 0.9 }
+      { Analysis.samples = 1_500; seed; confidence = 0.9 }
     in
     let b = Analysis.bounds ~params ~backend:Analysis.Sampled t ~o:0 in
     let contains v x =
@@ -237,20 +237,42 @@ let test_auto_policy () =
   check "explicit backend unchanged" true
     (Analysis.resolve dense Analysis.Sampled = Analysis.Sampled)
 
+(* Every engine enum has one (name, constructor) table, read by the
+   CLI flags, the JSON and the name function: names are unique, each
+   constructor is listed exactly once, the name function inverts the
+   table and an unknown name is absent. *)
+let check_name_table what table ~all ?name () =
+  let names = List.map fst table in
+  check (what ^ " names unique") true
+    (List.length (List.sort_uniq compare names) = List.length names);
+  check (what ^ " no extra entries") true
+    (List.length table = List.length all);
+  List.iter
+    (fun b ->
+      check (what ^ " constructor listed once") true
+        (List.length (List.filter (fun (_, b') -> b' = b) table) = 1))
+    all;
+  Option.iter
+    (fun name ->
+      List.iter (fun (n, b) -> check (what ^ " names " ^ n) true (name b = n))
+        table)
+    name;
+  check (what ^ " unknown absent") true
+    (List.assoc_opt "quantum" table = None)
+
 let test_backend_names () =
-  let round b =
-    match Analysis.backend_of_string (Analysis.backend_name b) with
-    | Ok b' -> b' = b
-    | Error _ -> false
-  in
-  check "exhaustive" true (round Analysis.Exhaustive);
-  check "bdd" true (round Analysis.Bdd_exact);
-  check "sample" true (round Analysis.Sampled);
-  check "auto" true (round Analysis.Auto);
-  check "unknown rejected" true
-    (match Analysis.backend_of_string "quantum" with
-    | Error _ -> true
-    | Ok _ -> false)
+  check_name_table "analysis" Analysis.backends
+    ~all:Analysis.[ Exhaustive; Bdd_exact; Sampled; Auto ]
+    ~name:Analysis.backend_name ();
+  check_name_table "dc" Rdca_dc.Dc.backends
+    ~all:Rdca_dc.Dc.[ Auto; Sat_engine; Bdd_engine; Differential ]
+    ~name:Rdca_dc.Dc.backend_name ();
+  check_name_table "atpg" Atpg.Engine.backends
+    ~all:Atpg.Engine.[ Auto; Sat_engine; Exhaustive; Bdd_engine; Differential ]
+    ~name:Atpg.Engine.backend_name ();
+  check_name_table "equiv" Check.Netlist_check.equiv_engines
+    ~all:Check.Netlist_check.[ Auto; Exhaustive; Bdd_backed ]
+    ()
 
 let test_estimate_degenerate_n0 () =
   let z = Estimate.signal_from ~n:0 ~f1:0.0 ~f0:0.0 ~fdc:1.0 in
@@ -516,22 +538,17 @@ let test_value_accessors () =
   check "pp interval" true
     (String.length (Format.asprintf "%a" Analysis.pp_value i) > 0)
 
-let test_auto_custom_params () =
-  let t = Analysis.of_spec (coverage_spec ()) in
-  (* ni = 6: squeezing the thresholds pushes the same problem down
-     the ladder. *)
-  let p ~ex ~bdd =
-    { Analysis.default_params with exhaustive_max = ex; bdd_max = bdd }
+let test_auto_boundaries () =
+  let dense ni = Analysis.of_spec (Spec.create ~ni ~no:1 ~default:Spec.Off) in
+  let cubes ni =
+    let empty = Twolevel.Cover.make ~n:ni [] in
+    Analysis.of_cover_sets ~ni [ Pla.Fd_sets { on = empty; dc = empty } ]
   in
-  check "below exhaustive_max" true
-    (Analysis.resolve ~params:(p ~ex:6 ~bdd:40) t Analysis.Auto
-    = Analysis.Exhaustive);
-  check "between -> bdd" true
-    (Analysis.resolve ~params:(p ~ex:5 ~bdd:40) t Analysis.Auto
-    = Analysis.Bdd_exact);
-  check "above bdd_max -> sampled" true
-    (Analysis.resolve ~params:(p ~ex:2 ~bdd:5) t Analysis.Auto
-    = Analysis.Sampled)
+  let auto t = Analysis.resolve t Analysis.Auto in
+  check "dense 14 -> exhaustive" true (auto (dense 14) = Analysis.Exhaustive);
+  check "dense 15 -> bdd" true (auto (dense 15) = Analysis.Bdd_exact);
+  check "cube-level 40 -> bdd" true (auto (cubes 40) = Analysis.Bdd_exact);
+  check "cube-level 41 -> sampled" true (auto (cubes 41) = Analysis.Sampled)
 
 let test_mean_intervals_across_backends () =
   let rng = Random.State.make [| 31 |] in
@@ -636,8 +653,8 @@ let suite =
         test_satcount_boundary;
       Alcotest.test_case "value accessors and rate composition" `Quick
         test_value_accessors;
-      Alcotest.test_case "auto policy honours custom thresholds" `Quick
-        test_auto_custom_params;
+      Alcotest.test_case "auto policy switches at its thresholds" `Quick
+        test_auto_boundaries;
       Alcotest.test_case "mean estimate intervals across backends" `Quick
         test_mean_intervals_across_backends;
       Alcotest.test_case "sampled cf and signal CIs bracket exact" `Quick

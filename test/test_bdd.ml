@@ -175,6 +175,67 @@ let prop_to_cover_roundtrip =
       let f = Bdd.of_cover m cover in
       Bdd.equal f (Bdd.of_cover m (Bdd.to_cover m f)))
 
+(* Bdd.of_gate is the only gate-to-BDD translation, so it gets its own
+   oracle: every gate kind over fanins that are BDD variables (in a
+   random pin-to-variable order) must agree with Gate.eval on every
+   minterm. *)
+let gen_gate_case =
+  let open QCheck.Gen in
+  let module Gate = Netlist.Gate in
+  let cell k =
+    map
+      (fun bits ->
+        let tt = Logic.Truth.of_fun k (List.nth bits) in
+        Gate.Cell
+          {
+            Gate.cell_name = "rand";
+            tt;
+            arity = k;
+            area = 1.0;
+            delay = 1.0;
+            input_cap = 1.0;
+          })
+      (list_repeat (1 lsl k) bool)
+  in
+  let gate_and_arity =
+    oneof
+      [
+        map (fun v -> (Gate.Const v, 0)) bool;
+        map (fun g -> (g, 1)) (oneofl [ Gate.Buf; Gate.Not ]);
+        pair
+          (oneofl
+             [ Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor ])
+          (int_range 2 5);
+        ( int_range 0 Logic.Truth.max_vars >>= fun k ->
+          map (fun g -> (g, k)) (cell k) );
+      ]
+  in
+  gate_and_arity >>= fun (g, k) ->
+  map (fun perm -> (g, Array.of_list perm)) (shuffle_l (List.init k Fun.id))
+
+let prop_of_gate_semantics =
+  QCheck.Test.make ~name:"of_gate agrees with Gate.eval" ~count:300
+    (QCheck.make gen_gate_case ~print:(fun (g, perm) ->
+         Printf.sprintf "%s over vars [%s]" (Netlist.Gate.name g)
+           (String.concat ";" (Array.to_list (Array.map string_of_int perm)))))
+    (fun (g, perm) ->
+      let k = Array.length perm in
+      let m = Bdd.make_man ~nvars:k in
+      let f = Bdd.of_gate m g (Array.map (Bdd.var m) perm) in
+      List.for_all
+        (fun mt ->
+          Bdd.eval_minterm m f mt
+          = Netlist.Gate.eval g
+              (Array.map (fun v -> mt land (1 lsl v) <> 0) perm))
+        (List.init (1 lsl k) Fun.id))
+
+let test_of_gate_rejects_input () =
+  let m = Bdd.make_man ~nvars:1 in
+  check "Input raises" true
+    (match Bdd.of_gate m (Netlist.Gate.Input 0) [||] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   ( "bdd",
     [
@@ -195,6 +256,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_satcount;
       QCheck_alcotest.to_alcotest prop_complement_cover;
       QCheck_alcotest.to_alcotest prop_to_cover_roundtrip;
+      QCheck_alcotest.to_alcotest prop_of_gate_semantics;
+      Alcotest.test_case "of_gate rejects Input" `Quick
+        test_of_gate_rejects_input;
     ] )
 
 (* Variable reordering. *)

@@ -150,7 +150,7 @@ let test_validation () =
 let prop_kind_names_roundtrip =
   QCheck.Test.make ~name:"kind names round-trip" ~count:30
     (QCheck.oneofl Inject.all_kinds)
-    (fun k -> Inject.kind_of_name (Inject.name_of_kind k) = Some k)
+    (fun k -> Inject.kind_of_name (Inject.kind_name k) = Some k)
 
 let suite =
   ( "inject",
