@@ -14,17 +14,13 @@
      dune exec bench/main.exe -- table2        # one section
      dune exec bench/main.exe -- --full        # paper-scale sweeps
      dune exec bench/main.exe -- --jobs 4      # worker domains (also RDCA_JOBS)
-     dune exec bench/main.exe -- --workers 2   # worker processes (sweep-distrib)
      dune exec bench/main.exe -- --profile     # span timing on (also RDCA_PROF)
      dune exec bench/main.exe -- --json out.json
    Sections: table1 fig2 fig4 fig5 fig6 table2 table3 ablations nodal
-   check-ex1010 sweep-distrib backends dc-extract testability micro
+   check-ex1010 backends dc-extract testability micro
 
-   The sweep-distrib section (run when requested by name or when
-   --workers > 0) re-evaluates a small sweep through the supervised
-   multi-process layer and checks it merges bit-identically with the
-   in-process result.  SIGINT/SIGTERM flushes the JSON with the
-   sections finished so far and "interrupted": true.
+   SIGINT/SIGTERM flushes the JSON with the sections finished so far
+   and "interrupted": true.
 
    Exits non-zero if any section's kernel results differ from the
    scalar oracle, or its parallel results differ from sequential. *)
@@ -35,8 +31,6 @@ module J = Rdca_json.Jsonout
 module Profjson = Rdca_json.Profjson
 module Pool = Parallel.Pool
 module K = Bitvec.Bv.Kernel
-module Distrib = Rdca_flow.Distrib
-module Sup = Resilient.Supervisor
 module Interrupt = Resilient.Interrupt
 
 type table = { title : string; header : string list; rows : string list list }
@@ -604,74 +598,9 @@ let run_micro ~full:_ () =
     scalars = List.map (fun (name, ns) -> (name ^ "_ns", ns)) rows;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Supervised multi-process sweep: the same (benchmark, fraction)
-   cells evaluated in-process and through Distrib/Supervisor worker
-   processes must merge to structurally identical rows.  This is a
-   correctness section, not a timing one, so it runs once and feeds
-   any divergence straight into the harness's mismatch list. *)
-
+(* Correctness sections run once and feed any divergence straight
+   into this list; the harness exits non-zero when it is not empty. *)
 let mismatches = ref []
-let distrib_workers = ref 0
-
-let run_sweep_distrib ~full:_ () =
-  let names = [ "bench"; "fout"; "p3" ] in
-  let fractions = [| 0.0; 0.5; 1.0 |] in
-  let seq = E.sweep ~fractions ~names () in
-  (* Exec-spawn this very binary back into its hidden worker mode (see
-     the driver below): unlike Fork, that works even after earlier
-     sections have spawned pool domains, which makes Unix.fork
-     unavailable for the rest of the process on OCaml 5. *)
-  let sup =
-    {
-      Sup.default with
-      Sup.workers = max 2 !distrib_workers;
-      Sup.spawn = Sup.Exec [| Sys.executable_name; "--bench-worker" |];
-    }
-  in
-  let identical, events, mode =
-    match Distrib.sweep_distributed ~fractions ~names sup with
-    | Error e ->
-        mismatches := ("sweep-distrib [error: " ^ e ^ "]") :: !mismatches;
-        (false, 0, "error")
-    | Ok d ->
-        let same = d.Distrib.value = seq in
-        if not same then mismatches := "sweep-distrib [merge]" :: !mismatches;
-        ( same,
-          List.length d.Distrib.events,
-          match d.Distrib.exec_mode with
-          | Sup.Processes n -> Printf.sprintf "processes(%d)" n
-          | Sup.Pool n -> Printf.sprintf "pool(%d)" n
-          | Sup.Sequential -> "sequential" )
-  in
-  {
-    tables =
-      [
-        {
-          title =
-            "sweep-distrib: supervised worker processes vs in-process sweep";
-          header = [ "benchmark"; "cells"; "identical" ];
-          rows =
-            List.map
-              (fun r ->
-                [
-                  r.E.sw_name;
-                  string_of_int (Array.length r.E.sw_fractions);
-                  (if identical then "yes" else "NO");
-                ])
-              seq;
-        };
-      ];
-    scalars =
-      [
-        ("benchmarks", float_of_int (List.length seq));
-        ("identical", if identical then 1.0 else 0.0);
-        ("supervision_events", float_of_int events);
-        ("mode_is_processes",
-         if String.length mode >= 9 && String.sub mode 0 9 = "processes"
-         then 1.0 else 0.0);
-      ];
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend agreement: on the small suite benchmarks the
@@ -995,7 +924,6 @@ let sections =
     { sec_name = "ablations"; dual = true; build = run_ablations };
     { sec_name = "nodal"; dual = true; build = run_nodal };
     { sec_name = "check-ex1010"; dual = true; build = run_check_ex1010 };
-    { sec_name = "sweep-distrib"; dual = false; build = run_sweep_distrib };
     { sec_name = "backends"; dual = true; build = run_backends };
     { sec_name = "dc-extract"; dual = false; build = run_dc_extract };
     { sec_name = "testability"; dual = false; build = run_testability };
@@ -1084,21 +1012,10 @@ let exec_section ~jobs ~full s =
 
 let usage () =
   prerr_endline
-    "usage: bench [--full] [--jobs N] [--workers N] [--profile] [--json FILE] \
-     [SECTION...]\n\
+    "usage: bench [--full] [--jobs N] [--profile] [--json FILE] [SECTION...]\n\
      sections: table1 fig2 fig4 fig5 fig6 table2 table3 ablations nodal \
-     check-ex1010 sweep-distrib backends dc-extract testability micro";
+     check-ex1010 backends dc-extract testability micro";
   exit 2
-
-(* Hidden worker mode: sweep-distrib Exec-spawns this binary as its
-   worker processes. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--bench-worker" then begin
-    Pool.set_default_jobs 1;
-    Resilient.Worker.serve ~handler:Distrib.dispatch ~input:Unix.stdin
-      ~output:Unix.stdout ();
-    exit 0
-  end
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1117,19 +1034,13 @@ let () =
             jobs := n;
             parse rest
         | _ -> usage ())
-    | "--workers" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 ->
-            distrib_workers := n;
-            parse rest
-        | _ -> usage ())
     | "--json" :: path :: rest ->
         json_path := path;
         parse rest
     | "--profile" :: rest ->
         Prof.set_enabled true;
         parse rest
-    | ("--help" | "-h") :: _ | ("--jobs" | "--workers" | "--json") :: [] ->
+    | ("--help" | "-h") :: _ | ("--jobs" | "--json") :: [] ->
         usage ()
     | s :: rest when List.exists (fun x -> x.sec_name = s) sections ->
         wanted := s :: !wanted;
@@ -1139,13 +1050,7 @@ let () =
         usage ()
   in
   parse args;
-  (* sweep-distrib spawns worker processes, so it is opt-in: run it
-     only when named explicitly or when --workers asks for processes. *)
-  let want s =
-    if s.sec_name = "sweep-distrib" then
-      List.mem s.sec_name !wanted || !distrib_workers > 0
-    else !wanted = [] || List.mem s.sec_name !wanted
-  in
+  let want s = !wanted = [] || List.mem s.sec_name !wanted in
   Interrupt.install ();
   let t0 = Unix.gettimeofday () in
   let entries = ref [] in

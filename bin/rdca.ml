@@ -20,6 +20,7 @@ module Flow = Rdca_flow.Flow
 module Distrib = Rdca_flow.Distrib
 module Sup = Resilient.Supervisor
 module Interrupt = Resilient.Interrupt
+module Campaign = Reliability.Campaign
 
 (* Resolve SPEC and run [f], turning every structured failure into a
    one-line stderr message and exit code 1 — no backtraces on bad
@@ -232,13 +233,12 @@ let assign_cmd =
     Term.(const run $ input_arg $ output_arg $ strategy_args $ finish)
 
 let mode_arg =
-  let doc = "Optimisation mode: delay | area | power." in
+  let doc =
+    "Optimisation mode, " ^ Arg.doc_alts_enum Techmap.Mapper.modes ^ "."
+  in
   Arg.(
     value
-    & opt (enum
-             [ ("delay", Techmap.Mapper.Delay); ("area", Techmap.Mapper.Area);
-               ("power", Techmap.Mapper.Power) ])
-        Techmap.Mapper.Delay
+    & opt (enum Techmap.Mapper.modes) Techmap.Mapper.Delay
     & info [ "mode" ] ~docv:"MODE" ~doc)
 
 let cube_budget_arg =
@@ -268,12 +268,28 @@ let synth_cmd =
   let run input strategy mode verify factored shared blif_out verilog_out
       max_cubes max_seconds analysis jobs =
     with_jobs_opt jobs @@ fun () ->
+    (* The shared-cube path neither factors, verifies nor budgets
+       espresso: refuse those flags rather than drop them. *)
+    let unsupported =
+      List.find_opt snd
+        [
+          ("--factored", factored);
+          ("--verify", verify);
+          ("--cube-budget", max_cubes <> None);
+          ("--espresso-seconds", max_seconds <> None);
+        ]
+    in
+    match unsupported with
+    | Some (flag, _) when shared ->
+        Fmt.epr "rdca: --shared cannot be combined with %s@." flag;
+        1
+    | _ ->
     with_spec input @@ fun spec ->
     let budget = { Flow.max_cubes; max_seconds } in
     let result =
       try
         Ok
-          (if shared then Flow.synthesize_shared ~mode ~strategy spec
+          (if shared then Flow.synthesize_shared ~analysis ~mode ~strategy spec
            else if verify then
              Flow.verified_synthesize ~analysis ~factored ~budget ~mode
                ~strategy spec
@@ -420,16 +436,52 @@ let checkpoint_path_for base strategy =
   in
   base ^ "." ^ tag
 
-let print_events events =
-  List.iter (fun e -> Fmt.pr "supervision:     %a@." Resilient.Event.pp e) events
+(* The campaign faultsim and campaign run on a synthesized netlist,
+   minus the statically dead sites under --skip-untestable. *)
+let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
+    ~skip_untestable nl =
+  let config =
+    {
+      Campaign.default_config with
+      Campaign.seed;
+      trials_per_site = trials;
+      confidence;
+      max_sites;
+      time_budget;
+    }
+  in
+  if not skip_untestable then config
+  else begin
+    let dead = dead_sites_for nl config.Campaign.kinds in
+    Fmt.pr "skip-untestable: %d statically-dead site(s) excluded@."
+      (List.length dead);
+    { config with Campaign.dead_sites = dead }
+  end
 
-let exec_mode_name = function
-  | Sup.Processes n -> Printf.sprintf "%d worker process(es)" n
-  | Sup.Pool n -> Printf.sprintf "in-process pool (%d jobs)" n
-  | Sup.Sequential -> "sequential"
+(* Run a supervised campaign and print its supervision events,
+   execution mode and report.  Returns the JSON document and whether
+   the run is partial, or prints the error and returns [None]. *)
+let run_supervised opts ~input ~strategy ~mode config spec nl =
+  match Distrib.campaign_run opts ~input ~strategy ~mode config spec nl with
+  | Error msg ->
+      Fmt.epr "rdca: %s@." msg;
+      None
+  | Ok d ->
+      List.iter
+        (fun e -> Fmt.pr "supervision:     %a@." Resilient.Event.pp e)
+        d.Distrib.events;
+      Fmt.pr "execution:       %s@."
+        (match d.Distrib.exec_mode with
+        | Sup.Processes n -> Printf.sprintf "%d worker process(es)" n
+        | Sup.Pool n -> Printf.sprintf "in-process pool (%d jobs)" n
+        | Sup.Sequential -> "sequential");
+      Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
+      Some
+        ( Distrib.campaign_report_to_json d.Distrib.value
+            ~events:d.Distrib.events ~interrupted:d.Distrib.interrupted,
+          d.Distrib.interrupted )
 
 let faultsim_cmd =
-  let module Campaign = Reliability.Campaign in
   let module Fault_sim = Reliability.Fault_sim in
   let module J = Rdca_json.Jsonout in
   let run input strategy mode seed trials max_sites time_budget confidence
@@ -510,23 +562,8 @@ let faultsim_cmd =
             Fmt.pr "input-error:     exact %.4f   monte-carlo %.4f@."
               r.Flow.error_rate mc.Fault_sim.rate;
             let config =
-              {
-                Campaign.default_config with
-                Campaign.seed;
-                trials_per_site = trials;
-                confidence;
-                max_sites;
-                time_budget;
-              }
-            in
-            let config =
-              if not skip_untestable then config
-              else begin
-                let dead = dead_sites_for nl config.Campaign.kinds in
-                Fmt.pr "skip-untestable: %d statically-dead site(s) excluded@."
-                  (List.length dead);
-                { config with Campaign.dead_sites = dead }
-              end
+              campaign_config ~seed ~trials ~confidence ~max_sites
+                ~time_budget ~skip_untestable nl
             in
             match workers with
             | None -> (
@@ -542,19 +579,11 @@ let faultsim_cmd =
                 | exception Invalid_argument msg ->
                     failed := true;
                     Fmt.epr "rdca: %s@." msg)
-            | Some w -> (
+            | Some workers -> (
                 let opts =
                   {
                     Distrib.default_campaign_opts with
-                    Distrib.sup =
-                      {
-                        Sup.default with
-                        Sup.workers = w;
-                        (* Exec spawning survives earlier parallel
-                           regions; OCaml 5 forbids fork once any
-                           domain has been spawned. *)
-                        spawn = Sup.Exec [| Sys.executable_name; "worker" |];
-                      };
+                    Distrib.sup = { Sup.default with Sup.workers };
                     checkpoint =
                       Option.map
                         (fun base -> checkpoint_path_for base strategy)
@@ -566,24 +595,12 @@ let faultsim_cmd =
                    and checkpoints are its budgeting mechanism. *)
                 let config = { config with Campaign.time_budget = None } in
                 match
-                  Distrib.campaign_run opts ~input ~strategy ~mode config spec
-                    nl
+                  run_supervised opts ~input ~strategy ~mode config spec nl
                 with
-                | Error msg ->
-                    failed := true;
-                    Fmt.epr "rdca: %s@." msg
-                | Ok d ->
-                    print_events d.Distrib.events;
-                    Fmt.pr "execution:       %s@."
-                      (exec_mode_name d.Distrib.exec_mode);
-                    Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
-                    if d.Distrib.interrupted then failed := true;
-                    docs :=
-                      ( Flow.strategy_name strategy,
-                        Distrib.campaign_report_to_json d.Distrib.value
-                          ~events:d.Distrib.events
-                          ~interrupted:d.Distrib.interrupted )
-                      :: !docs;
+                | None -> failed := true
+                | Some (doc, interrupted) ->
+                    if interrupted then failed := true;
+                    docs := (Flow.strategy_name strategy, doc) :: !docs;
                     write_json ~interrupted:false)))
       strategies;
     unhook ();
@@ -632,11 +649,10 @@ let faultsim_cmd =
    checkpointing and resume.  Exit codes: 0 complete, 3 partial
    (interrupted or permanently failed shards), 1 errors. *)
 let campaign_cmd =
-  let module Campaign = Reliability.Campaign in
   let module J = Rdca_json.Jsonout in
   let run input strategy mode seed trials max_sites confidence skip_untestable
-      workers shard_size deadline retries backoff spawn_fork checkpoint resume
-      stop_after chaos chaos_seed json_out analysis jobs =
+      workers shard_size deadline retries backoff checkpoint resume stop_after
+      chaos chaos_seed json_out analysis jobs =
     with_jobs_opt jobs @@ fun () ->
     with_spec input @@ fun spec ->
     let bad_arg =
@@ -667,34 +683,13 @@ let campaign_cmd =
         | Ok r -> (
             let nl = r.Flow.netlist in
             let config =
-              {
-                Campaign.default_config with
-                Campaign.seed;
-                trials_per_site = trials;
-                confidence;
-                max_sites;
-                time_budget = None;
-              }
-            in
-            let config =
-              if not skip_untestable then config
-              else begin
-                let dead = dead_sites_for nl config.Campaign.kinds in
-                Fmt.pr "skip-untestable: %d statically-dead site(s) excluded@."
-                  (List.length dead);
-                { config with Campaign.dead_sites = dead }
-              end
+              campaign_config ~seed ~trials ~confidence ~max_sites
+                ~time_budget:None ~skip_untestable nl
             in
             let sup =
               {
                 Sup.default with
                 Sup.workers;
-                spawn =
-                  (* Exec is the robust default: OCaml 5 forbids fork
-                     once any domain has been spawned (e.g. by the
-                     synthesis step's pool at --jobs > 1). *)
-                  (if spawn_fork then Sup.Fork
-                   else Sup.Exec [| Sys.executable_name; "worker" |]);
                 deadline;
                 retries;
                 backoff;
@@ -722,25 +717,11 @@ let campaign_cmd =
                retries%s@."
               workers shard_size deadline retries
               (if chaos > 0.0 then Printf.sprintf ", chaos %.2f" chaos else "");
-            match
-              Distrib.campaign_run opts ~input ~strategy ~mode config spec nl
-            with
-            | Error msg ->
-                Fmt.epr "rdca: %s@." msg;
-                1
-            | Ok d ->
-                print_events d.Distrib.events;
-                Fmt.pr "execution:       %s@."
-                  (exec_mode_name d.Distrib.exec_mode);
-                Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
-                Option.iter
-                  (fun path ->
-                    J.write_file path
-                      (Distrib.campaign_report_to_json d.Distrib.value
-                         ~events:d.Distrib.events
-                         ~interrupted:d.Distrib.interrupted))
-                  json_out;
-                if d.Distrib.interrupted then 3 else 0))
+            match run_supervised opts ~input ~strategy ~mode config spec nl with
+            | None -> 1
+            | Some (doc, interrupted) ->
+                Option.iter (fun path -> J.write_file path doc) json_out;
+                if interrupted then 3 else 0))
   in
   let workers =
     let doc =
@@ -769,16 +750,6 @@ let campaign_cmd =
       "Base retry backoff in seconds (doubled per attempt, with jitter)."
     in
     Arg.(value & opt float 0.25 & info [ "backoff" ] ~docv:"SECS" ~doc)
-  in
-  let spawn_fork =
-    let doc =
-      "Fork workers from the current process instead of spawning fresh \
-       $(b,rdca worker) images (the default).  Forked workers inherit the \
-       synthesized netlist instead of re-synthesizing it, but OCaml 5 \
-       forbids forking after any parallel region has run — the run then \
-       degrades to in-process execution."
-    in
-    Arg.(value & flag & info [ "spawn-fork" ] ~doc)
   in
   let stop_after =
     let doc =
@@ -811,9 +782,9 @@ let campaign_cmd =
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ seed_arg $ trials_arg
       $ max_sites_arg $ confidence_arg $ skip_untestable_arg $ workers
-      $ shard_size $ deadline $ retries $ backoff $ spawn_fork
-      $ checkpoint_arg $ resume_arg $ stop_after $ chaos $ chaos_seed
-      $ json_out $ analysis_backend_arg $ jobs_arg)
+      $ shard_size $ deadline $ retries $ backoff $ checkpoint_arg
+      $ resume_arg $ stop_after $ chaos $ chaos_seed $ json_out
+      $ analysis_backend_arg $ jobs_arg)
 
 (* Worker side of the supervision protocol: a frame loop on
    stdin/stdout executing Distrib.dispatch.  Spawned by the campaign
@@ -827,7 +798,7 @@ let worker_cmd =
       ~output:Unix.stdout ();
     0
   in
-  let doc = "Serve supervised campaign/sweep tasks over stdin/stdout (internal)" in
+  let doc = "Serve supervised campaign tasks over stdin/stdout (internal)" in
   Cmd.v (Cmd.info "worker" ~doc) Term.(const run $ const ())
 
 let gen_cmd =
@@ -1154,15 +1125,13 @@ let testability_cmd =
   in
   let collapse_arg =
     let doc =
-      "Structural fault collapsing: none | equivalence | dominance."
+      "Structural fault collapsing, "
+      ^ Arg.doc_alts_enum Atpg.Fault.modes
+      ^ "."
     in
     Arg.(
       value
-      & opt (enum
-               [ ("none", Atpg.Fault.No_collapse);
-                 ("equivalence", Atpg.Fault.Equivalence);
-                 ("dominance", Atpg.Fault.Dominance) ])
-          Atpg.Fault.Equivalence
+      & opt (enum Atpg.Fault.modes) Atpg.Fault.Equivalence
       & info [ "collapse" ] ~docv:"MODE" ~doc)
   in
   let remove_arg =

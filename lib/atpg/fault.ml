@@ -63,16 +63,14 @@ let universe nl =
 
 type mode = No_collapse | Equivalence | Dominance
 
-let mode_name = function
-  | No_collapse -> "none"
-  | Equivalence -> "equivalence"
-  | Dominance -> "dominance"
+let modes =
+  [
+    ("none", No_collapse);
+    ("equivalence", Equivalence);
+    ("dominance", Dominance);
+  ]
 
-let mode_of_name = function
-  | "none" -> Some No_collapse
-  | "equivalence" -> Some Equivalence
-  | "dominance" -> Some Dominance
-  | _ -> None
+let mode_name m = fst (List.find (fun (_, m') -> m' = m) modes)
 
 type cls = { rep : t; members : t list; implied_by : int option }
 

@@ -50,9 +50,10 @@ type mode =
       (** [Equivalence] plus [implied_by] dominance hints on stem
           classes *)
 
-val mode_name : mode -> string
+(** Every mode once, with its CLI/JSON name. *)
+val modes : (string * mode) list
 
-val mode_of_name : string -> mode option
+val mode_name : mode -> string
 
 type cls = {
   rep : t;  (** representative (smallest fault in canonical order) *)

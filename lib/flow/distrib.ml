@@ -2,12 +2,10 @@ module J = Rdca_json.Jsonout
 module Jin = Rdca_json.Jsonin
 module Campaign = Reliability.Campaign
 module Mapper = Techmap.Mapper
-module Report = Techmap.Report
 module Sup = Resilient.Supervisor
 module Event = Resilient.Event
 module Checkpoint = Resilient.Checkpoint
 module Interrupt = Resilient.Interrupt
-module Suite = Synthetic.Suite
 
 (* ------------------------------------------------------------------ *)
 (* Codecs                                                              *)
@@ -33,58 +31,10 @@ let strategy_of_json v =
   | Some m -> Error (Printf.sprintf "strategy: unknown method %S" m)
   | None -> Error "strategy: missing \"method\" field"
 
-let mode_of_name = function
-  | "delay" -> Some Mapper.Delay
-  | "area" -> Some Mapper.Area
-  | "power" -> Some Mapper.Power
-  | _ -> None
-
 let field name conv v =
   match Option.bind (Jin.member name v) conv with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "missing or bad %S field" name)
-
-let ( let* ) = Result.bind
-
-let report_to_json (r : Report.t) =
-  J.Obj
-    [
-      ("area", J.Float r.Report.area);
-      ("delay", J.Float r.Report.delay);
-      ("power", J.Float r.Report.power);
-      ("gates", J.Int r.Report.gates);
-      ("depth", J.Int r.Report.depth);
-    ]
-
-let report_of_json v =
-  let* area = field "area" Jin.to_float v in
-  let* delay = field "delay" Jin.to_float v in
-  let* power = field "power" Jin.to_float v in
-  let* gates = field "gates" Jin.to_int v in
-  let* depth = field "depth" Jin.to_int v in
-  Ok { Report.area; delay; power; gates; depth }
-
-let sweep_cell_to_json (c : Experiments.sweep_cell) =
-  J.Obj
-    [
-      ("error", J.Float c.Experiments.sw_error);
-      ("delay_mode", report_to_json c.Experiments.sw_delay_mode);
-      ("power_mode", report_to_json c.Experiments.sw_power_mode);
-    ]
-
-let sweep_cell_of_json v =
-  let* sw_error = field "error" Jin.to_float v in
-  let* sw_delay_mode =
-    match Jin.member "delay_mode" v with
-    | Some r -> report_of_json r
-    | None -> Error "missing \"delay_mode\" field"
-  in
-  let* sw_power_mode =
-    match Jin.member "power_mode" v with
-    | Some r -> report_of_json r
-    | None -> Error "missing \"power_mode\" field"
-  in
-  Ok { Experiments.sw_error; sw_delay_mode; sw_power_mode }
 
 (* ------------------------------------------------------------------ *)
 (* Worker-side dispatch                                                *)
@@ -182,7 +132,7 @@ let dispatch payload =
         match
           Option.bind
             (Option.bind (Jin.member "mode" payload) Jin.to_string)
-            mode_of_name
+            (fun name -> List.assoc_opt name Mapper.modes)
         with
         | Some m -> m
         | None -> fail "campaign shard: missing or bad \"mode\" field"
@@ -190,10 +140,6 @@ let dispatch payload =
       let config = decode_campaign_config payload in
       let spec, nl = synthesized ~input ~strategy ~mode in
       run_campaign_shard config spec nl (decode_sites payload)
-  | Some "sweep-cell" ->
-      let name = ok_or_fail (field "name" Jin.to_string payload) in
-      let fraction = ok_or_fail (field "fraction" Jin.to_float payload) in
-      sweep_cell_to_json (Experiments.sweep_cell_by_name ~name ~fraction)
   | Some k -> fail "unknown task kind %S" k
   | None -> fail "task payload has no \"kind\" field"
 
@@ -323,8 +269,8 @@ let campaign_run opts ~input ~strategy ~mode config spec nl =
         List.filter (fun id -> not (List.mem id to_run))
           (List.init total Fun.id)
       in
-      (* Fork workers and the in-process fallback use the already
-         synthesized netlist; only Exec workers pay a re-synthesis. *)
+      (* The in-process fallback uses the already synthesized netlist;
+         only worker processes pay a re-synthesis. *)
       let local_handler payload =
         run_campaign_shard config spec nl (decode_sites payload)
       in
@@ -415,79 +361,3 @@ let campaign_report_to_json report ~events ~interrupted =
       ("pooled", J.List pooled);
       ("supervision", J.List (List.map Event.to_json events));
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Distributed sweep                                                   *)
-
-let sweep_distributed ?(fractions = Experiments.default_fractions) ?names sup =
-  let entries =
-    let all = Suite.entries in
-    match names with
-    | None -> List.map (fun e -> e.Suite.name) all
-    | Some names ->
-        List.filter_map
-          (fun e -> if List.mem e.Suite.name names then Some e.Suite.name else None)
-          all
-  in
-  let specs = List.map (fun n -> (n, Suite.load_by_name n)) entries in
-  let nfr = Array.length fractions in
-  let tasks =
-    Array.init
-      (List.length specs * nfr)
-      (fun idx ->
-        let name, _ = List.nth specs (idx / nfr) in
-        J.Obj
-          [
-            ("kind", J.String "sweep-cell");
-            ("name", J.String name);
-            ("fraction", J.Float fractions.(idx mod nfr));
-          ])
-  in
-  let local_handler payload =
-    let name = ok_or_fail (field "name" Jin.to_string payload) in
-    let fraction = ok_or_fail (field "fraction" Jin.to_float payload) in
-    let spec =
-      match List.assoc_opt name specs with
-      | Some s -> s
-      | None -> fail "unknown suite benchmark %S" name
-    in
-    sweep_cell_to_json (Experiments.sweep_cell_of_spec spec fraction)
-  in
-  let out = Sup.run sup ~handler:local_handler ~tasks in
-  match out.Sup.failures with
-  | (id, why) :: _ ->
-      Error (Printf.sprintf "sweep cell %d failed: %s" id why)
-  | [] -> (
-      let cells = Array.make (Array.length tasks) None in
-      List.iter
-        (fun (id, v) ->
-          match sweep_cell_of_json v with
-          | Ok c -> cells.(id) <- Some c
-          | Error _ -> ())
-        out.Sup.results;
-      let bad = ref None in
-      Array.iteri
-        (fun i c -> if c = None && !bad = None then bad := Some i)
-        cells;
-      match !bad with
-      | Some i -> Error (Printf.sprintf "sweep cell %d missing or undecodable" i)
-      | None ->
-          let rows =
-            List.mapi
-              (fun si (name, _) ->
-                {
-                  Experiments.sw_name = name;
-                  sw_fractions = fractions;
-                  sw_cells =
-                    Array.init nfr (fun fi ->
-                        Option.get cells.((si * nfr) + fi));
-                })
-              specs
-          in
-          Ok
-            {
-              value = rows;
-              events = out.Sup.events;
-              exec_mode = out.Sup.mode;
-              interrupted = false;
-            })

@@ -1,11 +1,10 @@
-(** Distribution layer: fault campaigns and experiment sweeps as
-    supervised multi-process runs.
+(** Distribution layer: fault campaigns as supervised multi-process
+    runs.
 
     This is the glue between the domain layers and
     {!Resilient.Supervisor}: it cuts a {!Reliability.Campaign} into
-    site shards (and the Figure 4/5 sweep into benchmark x fraction
-    cells), encodes each shard as a self-contained JSON task a worker
-    process can execute from scratch, and reassembles the worker
+    site shards, encodes each shard as a self-contained JSON task a
+    worker process can execute from scratch, and reassembles the worker
     results into the exact report the sequential code would have
     produced — bit-identically, because shard values round-trip
     through {!Rdca_json} exactly and every (site, kind) RNG derives
@@ -21,27 +20,14 @@ module J := Rdca_json.Jsonout
 (** {1 Worker side} *)
 
 val dispatch : J.t -> J.t
-(** Task dispatcher for out-of-process ([Exec]) workers — what
-    [rdca worker] serves.  Understands:
-    - [{"kind": "campaign-shard", input, strategy, mode, config,
-       sites}] — re-synthesizes the benchmark (cached per process per
-      (input, strategy, mode)) and evaluates the listed fault sites;
-      returns the list of encoded site results.  Assumes an unbudgeted
-      espresso run, like the in-process campaign path.
-    - [{"kind": "sweep-cell", name, fraction}] — one
-      {!Experiments.sweep_cell_by_name} evaluation.
+(** Task dispatcher for worker processes — what [rdca worker] serves.
+    Understands [{"kind": "campaign-shard", input, strategy, mode,
+    config, sites}]: it re-synthesizes the benchmark (cached per
+    process per (input, strategy, mode)) and evaluates the listed
+    fault sites, returning the list of encoded site results.  Assumes
+    an unbudgeted espresso run, like the in-process campaign path.
     @raise Failure on unknown kinds or malformed payloads (the worker
     loop turns this into an error frame). *)
-
-(** {1 Codecs} *)
-
-val strategy_to_json : Flow.strategy -> J.t
-val strategy_of_json : J.t -> (Flow.strategy, string) result
-val mode_of_name : string -> Techmap.Mapper.mode option
-val report_to_json : Techmap.Report.t -> J.t
-val report_of_json : J.t -> (Techmap.Report.t, string) result
-val sweep_cell_to_json : Experiments.sweep_cell -> J.t
-val sweep_cell_of_json : J.t -> (Experiments.sweep_cell, string) result
 
 (** {1 Distributed runs} *)
 
@@ -83,9 +69,9 @@ val campaign_run :
 (** [campaign_run opts ~input ~strategy ~mode config spec nl] is
     {!Reliability.Campaign.run} as a supervised run over site shards.
     [input]/[strategy]/[mode] describe how [nl] was synthesized from
-    [input] so out-of-process workers can rebuild it; [Fork] workers
-    and the in-process degradation path use the captured [spec]/[nl]
-    directly.  The merged report is bit-identical to a sequential
+    [input] so worker processes can rebuild it; the in-process
+    degradation path uses the captured [spec]/[nl] directly.  The
+    merged report is bit-identical to a sequential
     {!Reliability.Campaign.run} with the same [config] (modulo
     [elapsed]).  [Error] on undecodable shard values or an invalid
     configuration. *)
@@ -98,13 +84,3 @@ val campaign_report_to_json :
 (** The JSON document [rdca campaign --json] writes: config, per-site
     results, pooled per-kind aggregates, supervision events, and the
     interrupted flag. *)
-
-val sweep_distributed :
-  ?fractions:float array ->
-  ?names:string list ->
-  Resilient.Supervisor.config ->
-  (Experiments.sweep_row list distributed, string) result
-(** [sweep_distributed sup] is {!Experiments.sweep} with each
-    (benchmark, fraction) cell evaluated as a supervised task.
-    [Error] if any cell permanently failed or failed to decode —
-    unlike campaigns, the sweep has no meaningful partial result. *)

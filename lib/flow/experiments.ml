@@ -107,8 +107,8 @@ let sp_error = Prof.span "sweep.error"
 let sp_build = Prof.span "sweep.build"
 
 (* One sweep cell is a pure function of (spec, fraction): the unit of
-   work for both the in-process fan-out below and the multi-process
-   distribution layer (Distrib). *)
+   work of the fan-out below.  Both mapper modes read the same
+   balanced AIG, which mapping does not mutate. *)
 let sweep_cell_of_spec spec fraction =
   let lib = Techmap.Stdcell.default_library () in
   let partial =
@@ -119,20 +119,11 @@ let sweep_cell_of_spec spec fraction =
   let error =
     Prof.time sp_error (fun () -> Flow.measured_error ~original:spec full)
   in
-  let build mode =
-    Prof.time sp_build @@ fun () ->
-    let aig = Aig.of_covers ~ni:(Spec.ni spec) covers in
-    let aig = Aig.Opt.balance aig in
-    Report.of_netlist (Mapper.map ~mode ~lib aig)
-  in
-  {
-    sw_error = error;
-    sw_delay_mode = build Mapper.Delay;
-    sw_power_mode = build Mapper.Power;
-  }
-
-let sweep_cell_by_name ~name ~fraction =
-  sweep_cell_of_spec (Suite.load_by_name name) fraction
+  Prof.time sp_build @@ fun () ->
+  let aig = Aig.Opt.balance (Aig.of_covers ~ni:(Spec.ni spec) covers) in
+  let report mode = Report.of_netlist (Mapper.map ~mode ~lib aig) in
+  let sw_delay_mode = report Mapper.Delay in
+  { sw_error = error; sw_delay_mode; sw_power_mode = report Mapper.Power }
 
 let sweep ?(fractions = default_fractions) ?names () =
   let specs = Array.of_list (suite_specs ?names ()) in

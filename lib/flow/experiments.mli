@@ -55,16 +55,8 @@ type sweep_row = {
 val default_fractions : float array
 
 (** [sweep_cell_of_spec spec fraction] computes one sweep cell — a
-    pure function of its arguments, the distributable unit of the
-    sweep. *)
+    pure function of its arguments, the unit of work of the sweep. *)
 val sweep_cell_of_spec : Pla.Spec.t -> float -> sweep_cell
-
-(** [sweep_cell_by_name ~name ~fraction] is {!sweep_cell_of_spec} on a
-    suite benchmark — the self-contained form worker processes run
-    (they reload the benchmark from the name rather than shipping the
-    spec).  Raises as {!Synthetic.Suite.load_by_name} on unknown
-    names. *)
-val sweep_cell_by_name : name:string -> fraction:float -> sweep_cell
 
 (** [sweep ()] synthesises every suite benchmark at each ranking
     fraction under both optimisation modes.  The heaviest call here;

@@ -401,7 +401,7 @@ let aig_of_mcubes ~ni ~no mcubes =
   Aig.set_outputs aig outs;
   aig
 
-let synthesize_shared ?lib ~mode ~strategy spec =
+let synthesize_shared ?lib ?analysis ~mode ~strategy spec =
   let lib =
     match lib with Some l -> l | None -> Techmap.Stdcell.default_library ()
   in
@@ -410,7 +410,7 @@ let synthesize_shared ?lib ~mode ~strategy spec =
     Assign.assigned_dc_fraction ~before:spec ~after:partial
   in
   let full, mcubes = implement_shared partial in
-  let error_rate = measured_error ~original:spec full in
+  let error_rate = measured_error ?analysis ~original:spec full in
   let aig = aig_of_mcubes ~ni:(Spec.ni spec) ~no:(Spec.no spec) mcubes in
   let aig = Aig.Opt.balance aig in
   let nl = Techmap.Mapper.map ~mode ~lib aig in

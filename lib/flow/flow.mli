@@ -262,9 +262,11 @@ val remove_redundant_checked :
     the shared cube list. *)
 val implement_shared : Pla.Spec.t -> Pla.Spec.t * Espresso.Multi.mcube list
 
-(** [synthesize_shared] is {!synthesize} on the shared-cube path. *)
+(** [synthesize_shared] is {!synthesize} on the shared-cube path,
+    without factoring or an espresso budget. *)
 val synthesize_shared :
   ?lib:Techmap.Stdcell.t list ->
+  ?analysis:Reliability.Analysis.backend ->
   mode:Techmap.Mapper.mode ->
   strategy:strategy ->
   Pla.Spec.t ->

@@ -112,13 +112,6 @@ let worker t () =
   in
   loop ()
 
-(* OCaml 5 refuses [Unix.fork] in any process that has *ever* spawned
-   a second domain, even one long since joined — record the fact so
-   fork-based facilities (Resilient.Supervisor) can degrade up front
-   instead of failing per attempt. *)
-let spawned_domains = ref false
-let fork_safe () = not !spawned_domains
-
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
@@ -133,10 +126,7 @@ let create ~jobs =
       domains = [];
     }
   in
-  if jobs > 1 then begin
-    spawned_domains := true;
-    Prof.add c_spawned (jobs - 1)
-  end;
+  if jobs > 1 then Prof.add c_spawned (jobs - 1);
   t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker t));
   t
 
@@ -250,14 +240,6 @@ let with_jobs j f =
 let quiesce () =
   Option.iter shutdown !shared_pool;
   shared_pool := None
-
-let fork_reset () =
-  (* In a forked child the parent's worker domains do not exist; drop
-     the handle without joining them and run sequentially from now
-     on.  The at_exit hook then finds no pool to shut down. *)
-  shared_pool := None;
-  spawned_domains := false;
-  default := Some 1
 
 (* ------------------------------------------------------------------ *)
 (* Chunked operations.                                                 *)

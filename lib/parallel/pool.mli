@@ -64,22 +64,7 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 
 val quiesce : unit -> unit
 (** Shut down (and join) the shared pool if it exists; it is lazily
-    re-created by the next parallel operation.  Call before forking
-    worker processes so the child is created from a single-domain
-    parent. *)
-
-val fork_reset : unit -> unit
-(** To be called first thing in a forked child: abandons the parent's
-    shared pool handle without joining (the parent's domains do not
-    exist in the child) and pins the default job count to 1, so the
-    child runs all parallel operations sequentially. *)
-
-val fork_safe : unit -> bool
-(** Whether [Unix.fork] is still available in this process.  OCaml 5
-    forbids forking in any process that has {e ever} spawned a second
-    domain — even one already joined — so this latches to [false] the
-    first time a multi-job pool spins up (and resets in a forked
-    child via {!fork_reset}). *)
+    re-created by the next parallel operation. *)
 
 (** {1 Chunked parallel operations}
 

@@ -3,8 +3,6 @@ module Jin = Rdca_json.Jsonin
 module Diag = Check.Diag
 module Pool = Parallel.Pool
 
-type spawn = Fork | Exec of string array
-
 type chaos = {
   kill_fraction : float;
   stall_fraction : float;
@@ -13,28 +11,26 @@ type chaos = {
 
 type config = {
   workers : int;
-  spawn : spawn;
+  argv : string array;
   deadline : float;
   retries : int;
   backoff : float;
-  heartbeat : float;
-  stall_timeout : float;
-  seed : int;
   chaos : chaos option;
 }
 
 let default =
   {
     workers = 2;
-    spawn = Fork;
+    argv = [| Sys.executable_name; "worker" |];
     deadline = 60.0;
     retries = 3;
     backoff = 0.25;
-    heartbeat = 0.2;
-    stall_timeout = 2.0;
-    seed = 0;
     chaos = None;
   }
+
+(* A busy worker silent this long is presumed wedged: ten periods of
+   the worker's heartbeat ({!Worker.serve}). *)
+let stall_timeout = 2.0
 
 type mode = Processes of int | Pool of int | Sequential
 
@@ -71,7 +67,7 @@ let chaos_for cfg ~id ~attempt =
   | _ -> None
 
 let backoff_delay cfg ~id ~attempt =
-  let jitter = 0.75 +. (0.5 *. unit_float cfg.seed ((id * 31) + attempt)) in
+  let jitter = 0.75 +. (0.5 *. unit_float 0 ((id * 31) + attempt)) in
   cfg.backoff *. (2.0 ** float_of_int attempt) *. jitter
 
 type busy = {
@@ -189,54 +185,22 @@ let run ?on_result ?(skip = []) cfg ~handler ~tasks =
     let spawn_failures = ref 0 in
     let give_up_spawning = ref false in
     let max_spawn_failures = max 3 (cfg.workers * 2) in
-    (* OCaml 5 forbids Unix.fork once any domain has ever been spawned
-       (Pool.fork_safe latches): detect it up front so the run degrades
-       with one clear event instead of a burst of failed attempts. *)
-    (match cfg.spawn with
-    | Fork when not (Pool.fork_safe ()) ->
-        give_up_spawning := true;
-        event Diag.Warn "fork-unavailable"
-          "worker domains were spawned earlier in this process, so \
-           Unix.fork is unavailable (OCaml 5); use Exec spawning or \
-           run before any parallel region"
-    | Fork | Exec _ -> ());
     let close_worker_fds w =
       ignore_unix (fun () -> Unix.close w.to_w);
       ignore_unix (fun () -> Unix.close w.from_w)
     in
     let spawn_worker () =
-      (* Fork from a single-domain parent: the shared pool's domains
-         would not survive into the child. *)
-      Pool.quiesce ();
       try
-        let r_in, w_in = Unix.pipe () in
-        let r_out, w_out = Unix.pipe () in
+        if Array.length cfg.argv = 0 then invalid_arg "Supervisor: empty argv";
+        (* Close-on-exec, so no worker holds a copy of any supervisor
+           end: a worker whose supervisor dies sees end of file. *)
+        let r_in, w_in = Unix.pipe ~cloexec:true () in
+        let r_out, w_out = Unix.pipe ~cloexec:true () in
         let pid =
-          match cfg.spawn with
-          | Fork -> (
-              match Unix.fork () with
-              | 0 ->
-                  (* Child: close every supervisor-side fd (ours and the
-                     other workers'), reset inherited parallel state,
-                     serve, and leave without running at_exit hooks. *)
-                  (try
-                     Unix.close w_in;
-                     Unix.close r_out;
-                     List.iter close_worker_fds !workers;
-                     Pool.fork_reset ();
-                     Worker.serve ~heartbeat:cfg.heartbeat ~handler
-                       ~input:r_in ~output:w_out ()
-                   with _ -> ());
-                  Unix._exit 0
-              | pid -> pid)
-          | Exec argv ->
-              if Array.length argv = 0 then invalid_arg "Supervisor: empty argv";
-              Unix.create_process argv.(0) argv r_in w_out Unix.stderr
+          Unix.create_process cfg.argv.(0) cfg.argv r_in w_out Unix.stderr
         in
         Unix.close r_in;
         Unix.close w_out;
-        Unix.set_close_on_exec w_in;
-        Unix.set_close_on_exec r_out;
         let w =
           {
             pid;
@@ -394,9 +358,7 @@ let run ?on_result ?(skip = []) cfg ~handler ~tasks =
                     (Printf.sprintf "task %d exceeded %.3fs deadline" b.task
                        cfg.deadline)
                   ~code:"task-deadline"
-              else if
-                cfg.stall_timeout > 0.0 && now -. b.last > cfg.stall_timeout
-              then
+              else if now -. b.last > stall_timeout then
                 kill_worker w
                   ~why:
                     (Printf.sprintf "no frames for %.3fs on task %d"

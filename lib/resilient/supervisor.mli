@@ -6,9 +6,8 @@
 
     - {b deadlines} — a task running longer than [deadline] seconds
       gets its worker killed and the task requeued;
-    - {b heartbeats} — workers beat every [heartbeat] seconds; a busy
-      worker silent for [stall_timeout] seconds is presumed wedged and
-      killed likewise;
+    - {b heartbeats} — workers beat every 0.2 s; a busy worker silent
+      for 2 s is presumed wedged and killed likewise;
     - {b retry with backoff} — failed or orphaned tasks are requeued
       with exponential backoff plus deterministic jitter, up to
       [retries] extra attempts, after which the task is recorded as a
@@ -25,21 +24,6 @@
     deterministic handlers every schedule yields bit-identical
     results. *)
 
-(** How to start a worker process.
-
-    [Fork] forks the current process; the child runs {!Worker.serve}
-    on [handler] directly, inheriting all in-memory context (the
-    shared {!Parallel.Pool} is quiesced before the fork and reset in
-    the child).  OCaml 5 forbids forking in a process that has ever
-    spawned a second domain, so [Fork] only works before any parallel
-    region runs ({!Parallel.Pool.fork_safe}); otherwise the run
-    degrades in-process with a [fork-unavailable] event.  [Exec argv]
-    spawns [argv] — e.g. [rdca worker] — whose serve loop must
-    understand the task payloads on its own; immune to the fork
-    restriction, and what the CLI uses by default so worker processes
-    are fresh images. *)
-type spawn = Fork | Exec of string array
-
 (** Supervisor-driven failure injection ([--chaos]): on a task's
     {e first} attempt, a deterministic hash of [chaos_seed] and the
     task id kills the worker mid-task with probability
@@ -54,22 +38,21 @@ type chaos = {
 
 type config = {
   workers : int;  (** worker processes; [<= 0] runs in-process *)
-  spawn : spawn;
+  argv : string array;
+      (** the worker command, e.g. [rdca worker]: a fresh process
+          whose serve loop ({!Worker.serve}) must understand the task
+          payloads on its own *)
   deadline : float;  (** per-task wall-clock limit; [<= 0] disables *)
   retries : int;  (** extra attempts per task after the first *)
   backoff : float;
       (** base backoff delay; attempt [a]'s requeue waits
           [backoff * 2^a * jitter] with jitter in [0.75, 1.25) *)
-  heartbeat : float;  (** worker heartbeat period *)
-  stall_timeout : float;
-      (** kill a busy worker silent this long; [<= 0] disables *)
-  seed : int;  (** jitter derivation *)
   chaos : chaos option;
 }
 
 val default : config
-(** 2 workers, [Fork], 60 s deadline, 3 retries, 0.25 s backoff,
-    0.2 s heartbeat, 2 s stall timeout, no chaos. *)
+(** 2 workers running [[| Sys.executable_name; "worker" |]], 60 s
+    deadline, 3 retries, 0.25 s backoff, no chaos. *)
 
 (** What finally executed the tasks. *)
 type mode = Processes of int | Pool of int | Sequential
@@ -92,9 +75,9 @@ val run :
   tasks:Rdca_json.Jsonout.t array ->
   outcome
 (** [run config ~handler ~tasks] executes [handler tasks.(i)] for
-    every [i] and collects the results.  [handler] is what [Fork]
-    children and the in-process fallback execute; [Exec] workers run
-    their own equivalent.  [on_result] fires once per task as its
-    first result is accepted — the checkpointing hook.  [skip] lists
+    every [i] and collects the results.  [handler] is what the
+    in-process rungs execute; worker processes run their own
+    equivalent.  [on_result] fires once per task as its first result
+    is accepted — the checkpointing hook.  [skip] lists
     task ids already completed (resume): they are neither dispatched
     nor reported. *)

@@ -3,7 +3,9 @@ module Jin = Rdca_json.Jsonin
 
 let obj_type v = Option.bind (Jin.member "type" v) Jin.to_string
 
-let serve ?(heartbeat = 0.2) ~handler ~input ~output () =
+let heartbeat = 0.2
+
+let serve ~handler ~input ~output () =
   (* One writer mutex serialises the main loop's acks/results with the
      background heartbeats. *)
   let wlock = Mutex.create () in
@@ -74,6 +76,6 @@ let serve ?(heartbeat = 0.2) ~handler ~input ~output () =
   in
   loop ();
   Atomic.set stop_hb true;
-  (* The heartbeat thread wakes within one period; joining keeps the
-     fork-mode child from racing process exit against a last write. *)
+  (* The heartbeat thread wakes within one period; joining keeps
+     process exit from racing a last write. *)
   Thread.join hb_thread

@@ -19,14 +19,12 @@
     kill). *)
 
 val serve :
-  ?heartbeat:float ->
   handler:(Rdca_json.Jsonout.t -> Rdca_json.Jsonout.t) ->
   input:Unix.file_descr ->
   output:Unix.file_descr ->
   unit ->
   unit
 (** [serve ~handler ~input ~output ()] runs the frame loop until an
-    [exit] frame or end of file on [input].  [heartbeat] (default
-    [0.2]s) is the background heartbeat period.  Never raises on
-    protocol or handler errors; a dead supervisor pipe ends the
-    loop. *)
+    [exit] frame or end of file on [input], beating every 0.2 s in
+    the background.  Never raises on protocol or handler errors; a
+    dead supervisor pipe ends the loop. *)

@@ -3,7 +3,8 @@ module Npn = Logic.Npn
 
 type mode = Delay | Area | Power
 
-let mode_name = function Delay -> "delay" | Area -> "area" | Power -> "power"
+let modes = [ ("delay", Delay); ("area", Area); ("power", Power) ]
+let mode_name m = fst (List.find (fun (_, m') -> m' = m) modes)
 
 type cell_match = {
   cut : Aig.Cut.cut;

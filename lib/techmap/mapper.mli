@@ -23,5 +23,8 @@ type mode = Delay | Area | Power
     problem. *)
 val map : mode:mode -> lib:Stdcell.t list -> Aig.t -> Netlist.t
 
+(** Every mode once, with its CLI/JSON name. *)
+val modes : (string * mode) list
+
 (** [mode_name m] is ["delay"], ["area"] or ["power"]. *)
 val mode_name : mode -> string

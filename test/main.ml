@@ -1,7 +1,5 @@
-(* Hidden worker mode: the resilient suite Exec-spawns this very
-   binary as its worker processes (see Test_resilient.exec_spawn), so
-   process-mode supervision is exercised even when Unix.fork is
-   unavailable (OCaml 5 forbids it once any domain has been spawned). *)
+(* Hidden worker mode: the resilient suite spawns this very binary as
+   its worker processes (see Test_resilient.sup_exec). *)
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--resilient-worker" then begin
     Parallel.Pool.set_default_jobs 1;

@@ -272,7 +272,13 @@ let test_backend_names () =
     ~name:Atpg.Engine.backend_name ();
   check_name_table "equiv" Check.Netlist_check.equiv_engines
     ~all:Check.Netlist_check.[ Auto; Exhaustive; Bdd_backed ]
-    ()
+    ();
+  check_name_table "mapper" Techmap.Mapper.modes
+    ~all:Techmap.Mapper.[ Delay; Area; Power ]
+    ~name:Techmap.Mapper.mode_name ();
+  check_name_table "collapse" Atpg.Fault.modes
+    ~all:Atpg.Fault.[ No_collapse; Equivalence; Dominance ]
+    ~name:Atpg.Fault.mode_name ()
 
 let test_estimate_degenerate_n0 () =
   let z = Estimate.signal_from ~n:0 ~f1:0.0 ~f0:0.0 ~fdc:1.0 in

@@ -137,18 +137,22 @@ let square v =
   | None -> failwith "bad payload"
 
 (* The handler served by the test binary's hidden worker mode (see
-   test/main.ml): square, except payloads marked "boom" raise. *)
+   test/main.ml): payloads with a "kind" are campaign shards for
+   Distrib.dispatch, as under rdca worker; the rest are squared,
+   except payloads marked "boom" raise. *)
 let worker_handler v =
-  match Option.bind (Jin.member "boom" v) Jin.to_bool with
-  | Some true -> failwith "boom"
-  | _ -> square v
+  if Jin.member "kind" v <> None then Distrib.dispatch v
+  else
+    match Option.bind (Jin.member "boom" v) Jin.to_bool with
+    | Some true -> failwith "boom"
+    | _ -> square v
 
-(* OCaml 5 forbids Unix.fork once any worker domain has ever been
-   spawned — and earlier suites (or this one's campaign runs, on
-   multicore machines) do exactly that.  Exec-spawning the test binary
-   back into its worker mode exercises real worker processes
-   regardless, which is also how the rdca CLI spawns by default. *)
-let exec_spawn = Sup.Exec [| Sys.executable_name; "--resilient-worker" |]
+(* Worker processes are this test binary in its worker mode. *)
+let sup_exec =
+  {
+    Sup.default with
+    Sup.argv = [| Sys.executable_name; "--resilient-worker" |];
+  }
 
 let expected n = List.init n (fun i -> (i, J.Obj [ ("y", J.Int (i * i)) ]))
 
@@ -176,12 +180,7 @@ let test_sup_processes () =
   let out =
     Sup.run
       ~on_result:(fun id _ -> seen := id :: !seen)
-      {
-        Sup.default with
-        Sup.workers = 2;
-        Sup.spawn = exec_spawn;
-        Sup.deadline = 30.0;
-      }
+      { sup_exec with Sup.workers = 2; Sup.deadline = 30.0 }
       ~handler:worker_handler ~tasks:(tasks 6)
   in
   check "worker results match in-process" true (out.Sup.results = expected 6);
@@ -191,26 +190,25 @@ let test_sup_processes () =
   check "spawn events logged" true
     (List.exists (fun e -> e.Event.code = "worker-spawned") out.Sup.events)
 
-let test_sup_fork_or_degrade () =
-  (* Fork works only in a process that never spawned a domain; when it
-     cannot (multicore runs, or after other suites' parallel regions)
-     the run must degrade up front — with identical results either
-     way. *)
-  let fork_was_safe = Parallel.Pool.fork_safe () in
-  let out =
-    Sup.run { Sup.default with Sup.workers = 2 } ~handler:square
-      ~tasks:(tasks 4)
-  in
-  check "results identical whichever rung ran" true
-    (out.Sup.results = expected 4 && out.Sup.failures = []);
-  if fork_was_safe then
-    check "forked process mode" true (out.Sup.mode = Sup.Processes 2)
-  else begin
-    check "degraded off the process rung" true
-      (match out.Sup.mode with Sup.Processes _ -> false | _ -> true);
-    check "fork-unavailable event logged" true
-      (List.exists (fun e -> e.Event.code = "fork-unavailable") out.Sup.events)
-  end
+let test_sup_spawn_with_live_domains () =
+  (* Workers are exec'd, so the parent need not be single-domain: they
+     spawn while the pool region's domains are live, and the pool is
+     left running. *)
+  let module Pool = Parallel.Pool in
+  let pool_live () = (Pool.stats ()).Pool.pool_instantiated in
+  Pool.with_jobs 2 (fun () ->
+      let squares = Pool.map_list ~chunk:1 square (Array.to_list (tasks 4)) in
+      check "pool region ran" true
+        (squares = List.map snd (expected 4) && pool_live ());
+      let out =
+        Sup.run
+          { sup_exec with Sup.workers = 2 }
+          ~handler:worker_handler ~tasks:(tasks 4)
+      in
+      check "results" true
+        (out.Sup.results = expected 4 && out.Sup.failures = []);
+      check "process mode" true (out.Sup.mode = Sup.Processes 2);
+      check "pool domains left running" true (pool_live ()))
 
 let test_sup_handler_failure () =
   let tasks =
@@ -220,13 +218,7 @@ let test_sup_handler_failure () =
   in
   let out =
     Sup.run
-      {
-        Sup.default with
-        Sup.workers = 2;
-        Sup.spawn = exec_spawn;
-        Sup.retries = 1;
-        Sup.backoff = 0.01;
-      }
+      { sup_exec with Sup.workers = 2; Sup.retries = 1; Sup.backoff = 0.01 }
       ~handler:worker_handler ~tasks
   in
   check "other tasks still complete" true
@@ -239,9 +231,8 @@ let test_sup_handler_failure () =
 let test_sup_chaos_kill () =
   let cfg =
     {
-      Sup.default with
+      sup_exec with
       Sup.workers = 2;
-      Sup.spawn = exec_spawn;
       Sup.retries = 2;
       Sup.backoff = 0.05;
       Sup.deadline = 10.0;
@@ -261,9 +252,8 @@ let test_sup_chaos_kill () =
 let test_sup_chaos_stall () =
   let cfg =
     {
-      Sup.default with
+      sup_exec with
       Sup.workers = 2;
-      Sup.spawn = exec_spawn;
       Sup.retries = 2;
       Sup.backoff = 0.05;
       Sup.deadline = 0.6;
@@ -283,7 +273,7 @@ let test_sup_degrades_without_workers () =
     {
       Sup.default with
       Sup.workers = 2;
-      Sup.spawn = Sup.Exec [| "/nonexistent/rdca-worker-binary" |];
+      Sup.argv = [| "/nonexistent/rdca-worker-binary" |];
     }
   in
   let out = Sup.run cfg ~handler:square ~tasks:(tasks 4) in
@@ -373,9 +363,11 @@ let test_distrib_chaos_identical () =
   let seq = Campaign.run config spec nl in
   let sup =
     {
-      Sup.default with
+      sup_exec with
       Sup.workers = 2;
-      Sup.deadline = 2.0;
+      (* The stalled shard waits out the deadline; a clean shard (worker
+         start, one synthesis of bench, two sites) takes about 0.1 s. *)
+      Sup.deadline = 1.0;
       Sup.backoff = 0.05;
       Sup.chaos =
         Some
@@ -391,6 +383,10 @@ let test_distrib_chaos_identical () =
   | Error e -> Alcotest.fail e
   | Ok d ->
       check "chaotic run completes" false d.Distrib.interrupted;
+      check "shards ran in worker processes" true
+        (d.Distrib.exec_mode = Sup.Processes 2);
+      check "chaos was injected" true
+        (List.exists (fun e -> e.Event.code = "chaos") d.Distrib.events);
       check "chaotic run is bit-identical to the sequential campaign" true
         (strip d.Distrib.value = strip seq)
 
@@ -400,7 +396,7 @@ let test_distrib_resume () =
   with_temp_checkpoint (fun ckpt ->
       let opts =
         {
-          Distrib.sup = { Sup.default with Sup.workers = 2 };
+          Distrib.sup = { sup_exec with Sup.workers = 2 };
           shard_size = 2;
           checkpoint = Some ckpt;
           resume = false;
@@ -426,6 +422,8 @@ let test_distrib_resume () =
       | Error e -> Alcotest.fail e
       | Ok d ->
           check "resumed run completes" false d.Distrib.interrupted;
+          check "resumed shards ran in worker processes" true
+            (d.Distrib.exec_mode = Sup.Processes 2);
           check "resume was taken from the checkpoint" true
             (List.exists
                (fun e -> e.Event.code = "checkpoint-resumed")
@@ -467,8 +465,8 @@ let suite =
         test_sup_empty_and_skip;
       Alcotest.test_case "supervisor: exec'd worker processes" `Quick
         test_sup_processes;
-      Alcotest.test_case "supervisor: fork or up-front degrade" `Quick
-        test_sup_fork_or_degrade;
+      Alcotest.test_case "supervisor: spawn with live domains" `Quick
+        test_sup_spawn_with_live_domains;
       Alcotest.test_case "supervisor: permanent handler failure" `Quick
         test_sup_handler_failure;
       Alcotest.test_case "supervisor: chaos kills" `Quick test_sup_chaos_kill;
