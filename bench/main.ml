@@ -17,7 +17,7 @@
      dune exec bench/main.exe -- --profile     # span timing on (also RDCA_PROF)
      dune exec bench/main.exe -- --json out.json
    Sections: table1 fig2 fig4 fig5 fig6 table2 table3 ablations nodal
-   check-ex1010 backends dc-extract testability micro
+   check-ex1010 errbounds-ex1010 backends dc-extract testability micro
 
    SIGINT/SIGTERM flushes the JSON with the sections finished so far
    and "interrupted": true.
@@ -462,12 +462,13 @@ let run_nodal ~full:_ () =
 
 (* ------------------------------------------------------------------ *)
 (* Static-check audit of the largest suite benchmark: synthesize
-   ex1010, then run the full lib/check pipeline (spec lint, cover
-   check, netlist structure, care-set equivalence with both the
-   exhaustive and the BDD engine).  The diagnostics land in the
-   outcome table, so the harness's signature comparison doubles as the
-   differential guard that the kernel and scalar checker engines — and
-   the two equivalence engines — report identically. *)
+   ex1010, then run the full lib/check pipeline (spec lint, then the
+   implementation audit: cover check, netlist structure, care-set
+   equivalence with both the exhaustive and the BDD engine).  The
+   diagnostics land in the outcome table, so the harness's signature
+   comparison doubles as the differential guard that the kernel and
+   scalar checker engines — and the two equivalence engines — report
+   identically. *)
 
 let run_check_ex1010 ~full:_ () =
   let module Flow = Rdca_flow.Flow in
@@ -478,9 +479,9 @@ let run_check_ex1010 ~full:_ () =
   in
   let diags =
     Diag.sort
-      (Check.implementation ~equiv:Check.Netlist_check.Exhaustive
-         ~include_redundancy:true ~spec ~covers:r.Flow.covers
-         ~netlist:r.Flow.netlist ())
+      (Check.Spec_lint.lint spec
+      @ Check.implementation ~equiv:Check.Netlist_check.Exhaustive
+          ~include_redundancy:true ~spec ~covers:r.Flow.covers r.Flow.netlist)
   in
   let bdd_diags =
     Check.Netlist_check.equiv_spec ~engine:Check.Netlist_check.Bdd_backed ~spec
@@ -512,6 +513,37 @@ let run_check_ex1010 ~full:_ () =
         ("equiv_bdd_errors", float_of_int (List.length bdd_diags));
         ("sop_cubes", float_of_int r.Flow.sop_cubes);
       ];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The error-rate/bounds inner loop on the largest suite benchmark,
+   repeated so the scalar leg is long enough to time reliably: its
+   kernel-vs-scalar speedup is the headline number of the
+   word-parallel engine. *)
+
+let run_errbounds ~full:_ () =
+  let module ER = Reliability.Error_rate in
+  let spec = Synthetic.Suite.load_by_name "ex1010" in
+  let impls =
+    Array.init (Pla.Spec.no spec) (fun o -> Pla.Spec.on_bv spec ~o)
+  in
+  let bounds = ref (ER.mean_bounds spec)
+  and rate = ref (ER.of_tables spec impls) in
+  for _ = 2 to 100 do
+    bounds := ER.mean_bounds spec;
+    rate := ER.of_tables spec impls
+  done;
+  let lo = ER.min_rate !bounds and hi = ER.max_rate !bounds in
+  {
+    tables =
+      [
+        {
+          title = "errbounds-ex1010: mean bounds and rate (100 repeats)";
+          header = [ "min rate"; "max rate"; "mean rate" ];
+          rows = [ List.map (Printf.sprintf "%.4f") [ lo; hi; !rate ] ];
+        };
+      ];
+    scalars = [ ("min_rate", lo); ("max_rate", hi); ("mean_rate", !rate) ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -924,6 +956,7 @@ let sections =
     { sec_name = "ablations"; dual = true; build = run_ablations };
     { sec_name = "nodal"; dual = true; build = run_nodal };
     { sec_name = "check-ex1010"; dual = true; build = run_check_ex1010 };
+    { sec_name = "errbounds-ex1010"; dual = true; build = run_errbounds };
     { sec_name = "backends"; dual = true; build = run_backends };
     { sec_name = "dc-extract"; dual = false; build = run_dc_extract };
     { sec_name = "testability"; dual = false; build = run_testability };
@@ -1014,7 +1047,7 @@ let usage () =
   prerr_endline
     "usage: bench [--full] [--jobs N] [--profile] [--json FILE] [SECTION...]\n\
      sections: table1 fig2 fig4 fig5 fig6 table2 table3 ablations nodal \
-     check-ex1010 backends dc-extract testability micro";
+     check-ex1010 errbounds-ex1010 backends dc-extract testability micro";
   exit 2
 
 let () =

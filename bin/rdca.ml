@@ -12,7 +12,6 @@
      optimize   windowed ODC/SDC recovery + checked node rewriting
      testability SAT-based stuck-at testability + checked redundancy removal
      suite      list the built-in Table 1 benchmark suite
-     bench      parallel-determinism smoke benchmark (JSON output, for CI)
      worker     serve supervised tasks over stdin/stdout (internal) *)
 
 open Cmdliner
@@ -22,15 +21,17 @@ module Sup = Resilient.Supervisor
 module Interrupt = Resilient.Interrupt
 module Campaign = Reliability.Campaign
 
-(* Resolve SPEC and run [f], turning every structured failure into a
-   one-line stderr message and exit code 1 — no backtraces on bad
-   input. *)
+(* Every refusal is one "rdca:" line on stderr and exit code 1 — no
+   backtraces on bad input. *)
+let refuse msg =
+  Fmt.epr "rdca: %s@." msg;
+  1
+
+(* Resolve SPEC and run [f], refusing every structured failure. *)
 let with_spec input f =
   match Flow.load_spec input with
   | Ok spec -> f spec
-  | Error e ->
-      Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-      1
+  | Error e -> refuse (Flow.error_to_string e)
 
 let jobs_arg =
   let doc =
@@ -42,9 +43,7 @@ let jobs_arg =
 (* Validate and install --jobs before running [k]. *)
 let with_jobs_opt jobs k =
   match jobs with
-  | Some n when n < 1 ->
-      Fmt.epr "rdca: --jobs must be at least 1@.";
-      1
+  | Some n when n < 1 -> refuse "--jobs must be at least 1"
   | _ ->
       Option.iter Parallel.Pool.set_default_jobs jobs;
       k ()
@@ -59,6 +58,17 @@ let input_arg =
 let output_arg =
   let doc = "Output .pla path (defaults to stdout)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+(* Synthesize SPEC and run [f] on the result, refusing a structured
+   synthesis failure. *)
+let with_synthesis ?analysis ~mode ~strategy spec f =
+  match Flow.synthesize_result ?analysis ~mode ~strategy spec with
+  | Ok r -> f r
+  | Error e -> refuse (Flow.error_to_string e)
+
+let json_arg what =
+  let doc = Printf.sprintf "Write %s as JSON to $(docv)." what in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let emit_spec out spec =
   match out with
@@ -125,10 +135,6 @@ let analysis_args =
    output. *)
 let with_analysis input (backend, params) jobs f =
   with_jobs_opt jobs @@ fun () ->
-  let refuse msg =
-    Fmt.epr "rdca: %s@." msg;
-    1
-  in
   if params.Analysis.samples <= 0 then refuse "--samples must be positive"
   else if
     not (params.Analysis.confidence > 0.0 && params.Analysis.confidence < 1.0)
@@ -281,8 +287,7 @@ let synth_cmd =
     in
     match unsupported with
     | Some (flag, _) when shared ->
-        Fmt.epr "rdca: --shared cannot be combined with %s@." flag;
-        1
+        refuse ("--shared cannot be combined with " ^ flag)
     | _ ->
     with_spec input @@ fun spec ->
     let budget = { Flow.max_cubes; max_seconds } in
@@ -299,9 +304,7 @@ let synth_cmd =
           Error (Flow.Synthesis_failure msg)
     in
     match result with
-    | Error e ->
-        Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-        1
+    | Error e -> refuse (Flow.error_to_string e)
     | Ok r ->
         Fmt.pr "strategy:        %s@." (Flow.strategy_name strategy);
         Fmt.pr "mode:            %s%s%s@."
@@ -350,8 +353,8 @@ let synth_cmd =
       $ shared $ blif_out $ verilog_out $ cube_budget_arg
       $ espresso_seconds_arg $ analysis_backend_arg $ jobs_arg)
 
-(* Shared by faultsim and campaign: positive/float flag validation and
-   supervised-campaign argument bundles. *)
+(* Shared by faultsim and campaign: campaign flags, their validation
+   and the campaign configuration. *)
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"RNG seed.")
 
@@ -366,20 +369,6 @@ let max_sites_arg =
 let confidence_arg =
   let doc = "Confidence level for the Wilson intervals." in
   Arg.(value & opt float 0.95 & info [ "confidence" ] ~docv:"C" ~doc)
-
-let checkpoint_arg =
-  let doc =
-    "Write a JSON checkpoint of completed site shards to $(docv) after every \
-     shard (and on SIGINT/SIGTERM, marked interrupted)."
-  in
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
-let resume_arg =
-  let doc =
-    "Load the $(b,--checkpoint) file and skip shards it already contains \
-     (ignored unless its fingerprint matches this exact run)."
-  in
-  Arg.(value & flag & info [ "resume" ] ~doc)
 
 let campaign_arg_error ~trials ~confidence ~max_sites =
   if trials <= 0 then Some "--trials must be positive"
@@ -424,18 +413,6 @@ let dead_sites_for nl kinds =
         kinds)
     (Reliability.Inject.sites nl)
 
-(* One file per (run, strategy): the checkpoint fingerprint would
-   reject cross-strategy reuse anyway, but distinct paths keep both
-   strategies of a faultsim resumable. *)
-let checkpoint_path_for base strategy =
-  let tag =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '-')
-      (Flow.strategy_name strategy)
-  in
-  base ^ "." ^ tag
-
 (* The campaign faultsim and campaign run on a synthesized netlist,
    minus the statically dead sites under --skip-untestable. *)
 let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
@@ -458,49 +435,17 @@ let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
     { config with Campaign.dead_sites = dead }
   end
 
-(* Run a supervised campaign and print its supervision events,
-   execution mode and report.  Returns the JSON document and whether
-   the run is partial, or prints the error and returns [None]. *)
-let run_supervised opts ~input ~strategy ~mode config spec nl =
-  match Distrib.campaign_run opts ~input ~strategy ~mode config spec nl with
-  | Error msg ->
-      Fmt.epr "rdca: %s@." msg;
-      None
-  | Ok d ->
-      List.iter
-        (fun e -> Fmt.pr "supervision:     %a@." Resilient.Event.pp e)
-        d.Distrib.events;
-      Fmt.pr "execution:       %s@."
-        (match d.Distrib.exec_mode with
-        | Sup.Processes n -> Printf.sprintf "%d worker process(es)" n
-        | Sup.Pool n -> Printf.sprintf "in-process pool (%d jobs)" n
-        | Sup.Sequential -> "sequential");
-      Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
-      Some
-        ( Distrib.campaign_report_to_json d.Distrib.value
-            ~events:d.Distrib.events ~interrupted:d.Distrib.interrupted,
-          d.Distrib.interrupted )
-
+(* The in-process per-strategy comparison; supervised multi-process
+   campaigns are rdca campaign's job. *)
 let faultsim_cmd =
   let module Fault_sim = Reliability.Fault_sim in
   let module J = Rdca_json.Jsonout in
   let run input strategy mode seed trials max_sites time_budget confidence
-      max_cubes max_seconds no_baseline skip_untestable workers checkpoint
-      resume json_out analysis jobs =
+      max_cubes max_seconds no_baseline skip_untestable json_out analysis jobs =
     with_jobs_opt jobs @@ fun () ->
     with_spec input @@ fun spec ->
-    let bad_arg =
-      match campaign_arg_error ~trials ~confidence ~max_sites with
-      | Some m -> Some m
-      | None ->
-          if resume && checkpoint = None then
-            Some "--resume needs --checkpoint (nothing to resume from)"
-          else None
-    in
-    match bad_arg with
-    | Some msg ->
-        Fmt.epr "rdca: %s@." msg;
-        1
+    match campaign_arg_error ~trials ~confidence ~max_sites with
+    | Some msg -> refuse msg
     | None ->
     Interrupt.install ();
     let budget = { Flow.max_cubes; max_seconds } in
@@ -533,21 +478,20 @@ let faultsim_cmd =
     Fmt.pr "benchmark:       %s  (%d in, %d out, %.1f%% DC)@." input
       (Pla.Spec.ni spec) (Pla.Spec.no spec)
       (100.0 *. Pla.Spec.dc_fraction spec);
-    Fmt.pr "campaign:        seed %d, %d trials/site, %.0f%% confidence%s%s%s@."
+    Fmt.pr "campaign:        seed %d, %d trials/site, %.0f%% confidence%s%s@."
       seed trials (100.0 *. confidence)
       (match max_sites with
       | None -> ""
       | Some n -> Printf.sprintf ", <= %d sites" n)
       (match time_budget with
       | None -> ""
-      | Some s -> Printf.sprintf ", %.2fs budget" s)
-      (match workers with
-      | None -> ""
-      | Some w -> Printf.sprintf ", %d worker process(es)" w);
+      | Some s -> Printf.sprintf ", %.2fs budget" s);
     let failed = ref false in
     List.iter
       (fun strategy ->
         Fmt.pr "@.=== strategy: %s ===@." (Flow.strategy_name strategy);
+        (* Inline rather than [with_synthesis]: one failed strategy
+           must not end the run. *)
         match Flow.synthesize_result ~analysis ~budget ~mode ~strategy spec with
         | Error e ->
             failed := true;
@@ -565,43 +509,18 @@ let faultsim_cmd =
               campaign_config ~seed ~trials ~confidence ~max_sites
                 ~time_budget ~skip_untestable nl
             in
-            match workers with
-            | None -> (
-                match Campaign.run config spec nl with
-                | report ->
-                    Fmt.pr "%a@." Campaign.pp_report report;
-                    docs :=
-                      ( Flow.strategy_name strategy,
-                        Distrib.campaign_report_to_json report ~events:[]
-                          ~interrupted:false )
-                      :: !docs;
-                    write_json ~interrupted:false
-                | exception Invalid_argument msg ->
-                    failed := true;
-                    Fmt.epr "rdca: %s@." msg)
-            | Some workers -> (
-                let opts =
-                  {
-                    Distrib.default_campaign_opts with
-                    Distrib.sup = { Sup.default with Sup.workers };
-                    checkpoint =
-                      Option.map
-                        (fun base -> checkpoint_path_for base strategy)
-                        checkpoint;
-                    resume;
-                  }
-                in
-                (* The supervised path ignores --time-budget: deadlines
-                   and checkpoints are its budgeting mechanism. *)
-                let config = { config with Campaign.time_budget = None } in
-                match
-                  run_supervised opts ~input ~strategy ~mode config spec nl
-                with
-                | None -> failed := true
-                | Some (doc, interrupted) ->
-                    if interrupted then failed := true;
-                    docs := (Flow.strategy_name strategy, doc) :: !docs;
-                    write_json ~interrupted:false)))
+            match Campaign.run config spec nl with
+            | report ->
+                Fmt.pr "%a@." Campaign.pp_report report;
+                docs :=
+                  ( Flow.strategy_name strategy,
+                    Distrib.campaign_report_to_json report ~events:[]
+                      ~interrupted:false )
+                  :: !docs;
+                write_json ~interrupted:false
+            | exception Invalid_argument msg ->
+                failed := true;
+                Fmt.epr "rdca: %s@." msg))
       strategies;
     unhook ();
     if !failed then 1 else 0
@@ -609,7 +528,7 @@ let faultsim_cmd =
   let time_budget =
     let doc =
       "Wall-clock budget for the campaign in seconds; exceeding it yields a \
-       partial report instead of an error (in-process campaigns only)."
+       partial report instead of an error."
     in
     Arg.(
       value
@@ -620,17 +539,6 @@ let faultsim_cmd =
     let doc = "Skip the conventional-strategy baseline comparison." in
     Arg.(value & flag & info [ "no-baseline" ] ~doc)
   in
-  let workers =
-    let doc =
-      "Run the campaign as $(docv) supervised worker processes (see \
-       $(b,rdca campaign) for the full set of supervision knobs)."
-    in
-    Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"K" ~doc)
-  in
-  let json_out =
-    let doc = "Write the campaign reports as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let doc =
     "Gate-level fault-injection campaign: stuck-at-0/1 and transient faults \
      at every internal node, compared against the paper's input-error rate, \
@@ -640,9 +548,8 @@ let faultsim_cmd =
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ seed_arg $ trials_arg
       $ max_sites_arg $ time_budget $ confidence_arg $ cube_budget_arg
-      $ espresso_seconds_arg $ no_baseline $ skip_untestable_arg $ workers
-      $ checkpoint_arg $ resume_arg $ json_out $ analysis_backend_arg
-      $ jobs_arg)
+      $ espresso_seconds_arg $ no_baseline $ skip_untestable_arg
+      $ json_arg "the campaign reports" $ analysis_backend_arg $ jobs_arg)
 
 (* The supervised campaign subcommand: one strategy, full control over
    the supervisor (workers, deadlines, retries, chaos), shard
@@ -671,57 +578,68 @@ let campaign_cmd =
           else None
     in
     match bad_arg with
-    | Some msg ->
-        Fmt.epr "rdca: %s@." msg;
-        1
+    | Some msg -> refuse msg
     | None -> (
         Interrupt.install ();
-        match Flow.synthesize_result ~analysis ~mode ~strategy spec with
-        | Error e ->
-            Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-            1
-        | Ok r -> (
-            let nl = r.Flow.netlist in
-            let config =
-              campaign_config ~seed ~trials ~confidence ~max_sites
-                ~time_budget:None ~skip_untestable nl
-            in
-            let sup =
-              {
-                Sup.default with
-                Sup.workers;
-                deadline;
-                retries;
-                backoff;
-                chaos =
-                  (if chaos > 0.0 then
-                     Some
-                       {
-                         Sup.kill_fraction = chaos /. 2.0;
-                         stall_fraction = chaos /. 2.0;
-                         chaos_seed;
-                       }
-                   else None);
-              }
-            in
-            let opts =
-              { Distrib.sup; shard_size; checkpoint; resume; stop_after }
-            in
-            Fmt.pr "benchmark:       %s  (%d in, %d out)@." input
-              (Pla.Spec.ni spec) (Pla.Spec.no spec);
-            Fmt.pr "strategy:        %s, %s mode@."
-              (Flow.strategy_name strategy)
-              (Techmap.Mapper.mode_name mode);
-            Fmt.pr
-              "supervision:     %d worker(s), shard %d, deadline %.1fs, %d \
-               retries%s@."
-              workers shard_size deadline retries
-              (if chaos > 0.0 then Printf.sprintf ", chaos %.2f" chaos else "");
-            match run_supervised opts ~input ~strategy ~mode config spec nl with
-            | None -> 1
-            | Some (doc, interrupted) ->
-                Option.iter (fun path -> J.write_file path doc) json_out;
-                if interrupted then 3 else 0))
+        with_synthesis ~analysis ~mode ~strategy spec @@ fun r ->
+        let nl = r.Flow.netlist in
+        let config =
+          campaign_config ~seed ~trials ~confidence ~max_sites
+            ~time_budget:None ~skip_untestable nl
+        in
+        let sup =
+          {
+            Sup.default with
+            Sup.workers;
+            deadline;
+            retries;
+            backoff;
+            chaos =
+              (if chaos > 0.0 then
+                 Some
+                   {
+                     Sup.kill_fraction = chaos /. 2.0;
+                     stall_fraction = chaos /. 2.0;
+                     chaos_seed;
+                   }
+               else None);
+          }
+        in
+        let opts =
+          { Distrib.sup; shard_size; checkpoint; resume; stop_after }
+        in
+        Fmt.pr "benchmark:       %s  (%d in, %d out)@." input (Pla.Spec.ni spec)
+          (Pla.Spec.no spec);
+        Fmt.pr "strategy:        %s, %s mode@."
+          (Flow.strategy_name strategy)
+          (Techmap.Mapper.mode_name mode);
+        Fmt.pr
+          "supervision:     %d worker(s), shard %d, deadline %.1fs, %d \
+           retries%s@."
+          workers shard_size deadline retries
+          (if chaos > 0.0 then Printf.sprintf ", chaos %.2f" chaos else "");
+        match
+          Distrib.campaign_run opts ~input ~strategy ~mode config spec nl
+        with
+        | Error msg -> refuse msg
+        | Ok d ->
+            List.iter
+              (fun e -> Fmt.pr "supervision:     %a@." Resilient.Event.pp e)
+              d.Distrib.events;
+            Fmt.pr "execution:       %s@."
+              (match d.Distrib.exec_mode with
+              | Sup.Processes n -> Printf.sprintf "%d worker process(es)" n
+              | Sup.Pool n -> Printf.sprintf "in-process pool (%d jobs)" n
+              | Sup.Sequential -> "sequential");
+            Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
+            Option.iter
+              (fun path ->
+                J.write_file path
+                  (Distrib.campaign_report_to_json d.Distrib.value
+                     ~events:d.Distrib.events
+                     ~interrupted:d.Distrib.interrupted))
+              json_out;
+            if d.Distrib.interrupted then 3 else 0)
   in
   let workers =
     let doc =
@@ -751,6 +669,21 @@ let campaign_cmd =
     in
     Arg.(value & opt float 0.25 & info [ "backoff" ] ~docv:"SECS" ~doc)
   in
+  let checkpoint =
+    let doc =
+      "Write a JSON checkpoint of completed site shards to $(docv) after \
+       every shard (and on SIGINT/SIGTERM, marked interrupted)."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+  in
+  let resume =
+    let doc =
+      "Load the $(b,--checkpoint) file and skip shards it already contains \
+       (ignored unless its fingerprint matches this exact run)."
+    in
+    Arg.(value & flag & info [ "resume" ] ~doc)
+  in
   let stop_after =
     let doc =
       "Stop after $(docv) new shards and write an interrupted checkpoint — \
@@ -770,10 +703,6 @@ let campaign_cmd =
     let doc = "Seed for the chaos-injection hash." in
     Arg.(value & opt int 7 & info [ "chaos-seed" ] ~docv:"S" ~doc)
   in
-  let json_out =
-    let doc = "Write the campaign report (with supervision log) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let doc =
     "Supervised multi-process fault-injection campaign with deadlines, \
      retry/backoff, checkpoint/resume and chaos testing"
@@ -782,13 +711,14 @@ let campaign_cmd =
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ seed_arg $ trials_arg
       $ max_sites_arg $ confidence_arg $ skip_untestable_arg $ workers
-      $ shard_size $ deadline $ retries $ backoff $ checkpoint_arg
-      $ resume_arg $ stop_after $ chaos $ chaos_seed $ json_out
+      $ shard_size $ deadline $ retries $ backoff $ checkpoint $ resume
+      $ stop_after $ chaos $ chaos_seed
+      $ json_arg "the campaign report (with supervision log)"
       $ analysis_backend_arg $ jobs_arg)
 
 (* Worker side of the supervision protocol: a frame loop on
    stdin/stdout executing Distrib.dispatch.  Spawned by the campaign
-   and faultsim supervisors; of no use interactively. *)
+   supervisor; of no use interactively. *)
 let worker_cmd =
   let run () =
     (* Tasks are the unit of parallelism; each worker computes
@@ -807,10 +737,7 @@ let gen_cmd =
     if ni > 20 then
       (* Beyond the dense table: generate at the cube level, the input
          format of the symbolic and sampled analysis backends. *)
-      if ni > 61 then begin
-        Fmt.epr "rdca: --ni must be at most 61@.";
-        1
-      end
+      if ni > 61 then refuse "--ni must be at most 61"
       else begin
         let sets =
           Synthetic.Synth_gen.random_cover_sets ~rng ~ni ~no ~on_cubes
@@ -927,13 +854,17 @@ let max_diags_arg =
   in
   Arg.(value & opt (some int) None & info [ "max-diags" ] ~docv:"N" ~doc)
 
+(* Validate and install --max-diags before running [k]. *)
+let with_max_diags max_diags k =
+  match max_diags with
+  | Some n when n < 0 -> refuse "--max-diags must be non-negative"
+  | _ ->
+      Check.Diag.set_max_diags max_diags;
+      k ()
+
 let check_cmd =
   let module Diag = Check.Diag in
   let module J = Rdca_json.Jsonout in
-  let json_arg =
-    let doc = "Write the diagnostic report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let lint_only_arg =
     let doc = "Stop after the spec lints (no synthesis)." in
     Arg.(value & flag & info [ "lint-only" ] ~doc)
@@ -950,47 +881,30 @@ let check_cmd =
   in
   let run input strategy mode engine max_diags lint_only json jobs =
     with_jobs_opt jobs @@ fun () ->
-    if (match max_diags with Some n -> n < 0 | None -> false) then begin
-      Fmt.epr "rdca: --max-diags must be non-negative@.";
-      1
-    end
-    else begin
-    Diag.set_max_diags max_diags;
+    with_max_diags max_diags @@ fun () ->
     match Flow.load_source input with
     | Error (Flow.Check_failed { diags; _ }) ->
         (* The load itself was refused (on/off overlap): that IS the
            check result, so report it through the normal channel. *)
         emit input json diags
-    | Error e ->
-        Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-        1
+    | Error e -> refuse (Flow.error_to_string e)
     | Ok src ->
         let lint = Flow.lint_source src in
         if lint_only || Diag.has_errors lint then emit input json lint
-        else begin
-          match Flow.synthesize_result ~mode ~strategy src.Flow.spec with
-          | Error e ->
-              Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-              1
-          | Ok r ->
-              let spec = src.Flow.spec in
-              let cover_diags =
-                Check.Cover_check.check_covers ~include_redundancy:true ~spec
-                  r.Flow.covers
-              in
-              let structure = Check.Netlist_check.check r.Flow.netlist in
-              let equiv_diags =
-                Check.Netlist_check.equiv_spec ~engine ~spec r.Flow.netlist
-              in
-              emit input json (lint @ cover_diags @ structure @ equiv_diags)
-        end
-    end
+        else
+          let spec = src.Flow.spec in
+          with_synthesis ~mode ~strategy spec @@ fun r ->
+          emit input json
+            (lint
+            @ Check.implementation ~equiv:engine ~include_redundancy:true ~spec
+                ~covers:r.Flow.covers r.Flow.netlist)
   in
   let doc = "Statically check a spec and its synthesized implementation" in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ equiv_engine_arg
-      $ max_diags_arg $ lint_only_arg $ json_arg $ jobs_arg)
+      $ max_diags_arg $ lint_only_arg $ json_arg "the diagnostic report"
+      $ jobs_arg)
 
 (* Post-mapping don't-care recovery: synthesize, sweep the windowed
    ODC/SDC analysis over the mapped netlist, rewrite node functions on
@@ -1045,61 +959,47 @@ let optimize_cmd =
     in
     Term.(const combine $ method_ $ fraction $ threshold)
   in
-  let json_arg =
-    let doc = "Write the DC-extraction report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let run input strategy mode depth backend dc_strategy engine json jobs =
     with_jobs_opt jobs @@ fun () ->
-    if depth < 1 then begin
-      Fmt.epr "rdca: --dc-window must be at least 1@.";
-      1
-    end
+    if depth < 1 then refuse "--dc-window must be at least 1"
     else
       with_spec input @@ fun spec ->
-      match Flow.synthesize_result ~mode ~strategy spec with
-      | Error e ->
-          Fmt.epr "rdca: %s@." (Flow.error_to_string e);
+      with_synthesis ~mode ~strategy spec @@ fun r ->
+      let config = { Dc.default_config with Dc.depth; backend } in
+      match
+        Flow.optimize_checked ~config ~dc_strategy ~equiv:engine ~spec
+          r.Flow.netlist
+      with
+      | Error (Flow.Check_failed { diags; _ }) ->
+          Fmt.pr "%a@." Diag.pp_report diags;
           1
-      | Ok r -> (
-          let config = { Dc.default_config with Dc.depth; backend } in
-          match
-            Flow.optimize_checked ~config ~dc_strategy ~equiv:engine ~spec
-              r.Flow.netlist
-          with
-          | Error (Flow.Check_failed { diags; _ }) ->
-              Fmt.pr "%a@." Diag.pp_report diags;
-              1
-          | Error e ->
-              Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-              1
-          | Ok (opt, equiv_diags) ->
-              let rep = opt.Dc.opt_report in
-              Fmt.pr "backend:         %s, window depth %d@."
-                (Dc.backend_name backend) depth;
-              Fmt.pr "dc strategy:     %s@." (Dc.strategy_name dc_strategy);
-              Fmt.pr "nodes analyzed:  %d (%d skipped over-arity)@."
-                rep.Dc.analyzed rep.Dc.skipped;
-              Fmt.pr "nodes with DC:   %d@." rep.Dc.nodes_with_dc;
-              Fmt.pr "SDC patterns:    %d@." rep.Dc.sdc_patterns;
-              Fmt.pr "ODC patterns:    %d@." rep.Dc.odc_patterns;
-              if backend = Dc.Differential then
-                Fmt.pr "backends agree:  yes (%d window(s))@." rep.Dc.analyzed;
-              Fmt.pr "rewritten:       %d node(s)@."
-                (List.length opt.Dc.rewritten);
-              Fmt.pr "check:           care-set equivalence OK (%d warning(s))@."
-                (Diag.count Diag.Warn equiv_diags);
-              Option.iter
-                (fun path -> J.write_file path (Dc.opt_result_to_json opt))
-                json;
-              0)
+      | Error e -> refuse (Flow.error_to_string e)
+      | Ok (opt, equiv_diags) ->
+          let rep = opt.Dc.opt_report in
+          Fmt.pr "backend:         %s, window depth %d@."
+            (Dc.backend_name backend) depth;
+          Fmt.pr "dc strategy:     %s@." (Dc.strategy_name dc_strategy);
+          Fmt.pr "nodes analyzed:  %d (%d skipped over-arity)@."
+            rep.Dc.analyzed rep.Dc.skipped;
+          Fmt.pr "nodes with DC:   %d@." rep.Dc.nodes_with_dc;
+          Fmt.pr "SDC patterns:    %d@." rep.Dc.sdc_patterns;
+          Fmt.pr "ODC patterns:    %d@." rep.Dc.odc_patterns;
+          if backend = Dc.Differential then
+            Fmt.pr "backends agree:  yes (%d window(s))@." rep.Dc.analyzed;
+          Fmt.pr "rewritten:       %d node(s)@." (List.length opt.Dc.rewritten);
+          Fmt.pr "check:           care-set equivalence OK (%d warning(s))@."
+            (Diag.count Diag.Warn equiv_diags);
+          Option.iter
+            (fun path -> J.write_file path (Dc.opt_result_to_json opt))
+            json;
+          0
   in
   let doc = "Recover windowed network don't cares and rewrite node functions" in
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ dc_window_arg
-      $ dc_backend_arg $ dc_strategy_args $ equiv_engine_arg $ json_arg
-      $ jobs_arg)
+      $ dc_backend_arg $ dc_strategy_args $ equiv_engine_arg
+      $ json_arg "the DC-extraction report" $ jobs_arg)
 
 (* Static stuck-at testability analysis: synthesize, enumerate and
    collapse the fault universe, decide every class with the selected
@@ -1142,10 +1042,6 @@ let testability_cmd =
     in
     Arg.(value & flag & info [ "remove-redundant" ] ~doc)
   in
-  let json_arg =
-    let doc = "Write the testability report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let removal_to_json (rem : Atpg.Redundancy.result) =
     J.Obj
       [
@@ -1159,95 +1055,81 @@ let testability_cmd =
   let run input strategy mode backend collapse remove engine max_diags json
       jobs =
     with_jobs_opt jobs @@ fun () ->
-    if (match max_diags with Some n -> n < 0 | None -> false) then begin
-      Fmt.epr "rdca: --max-diags must be non-negative@.";
-      1
-    end
-    else begin
-      Diag.set_max_diags max_diags;
-      with_spec input @@ fun spec ->
-      match Flow.synthesize_result ~mode ~strategy spec with
-      | Error e ->
-          Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-          1
-      | Ok r -> (
-          let nl = r.Flow.netlist in
-          let config = { Engine.default_config with Engine.backend; collapse } in
-          match Engine.analyze ~config nl with
-          | exception Invalid_argument msg ->
-              Fmt.epr "rdca: %s@." msg;
-              1
-          | report ->
-              let scoap = Atpg.Scoap.compute nl in
-              let sc = Atpg.Scoap.summarize scoap in
-              let diags = Atpg.Testability_check.diagnostics nl report in
-              Fmt.pr "backend:         %s, %s collapsing@."
-                (Engine.backend_name backend)
-                (Atpg.Fault.mode_name collapse);
-              Fmt.pr "faults:          %d in %d class(es) (%.2fx collapse)@."
-                report.Engine.total_faults report.Engine.classes
-                report.Engine.collapse_ratio;
-              Fmt.pr "coverage:        %.1f%%  (%d testable, %d untestable)@."
-                (100.0 *. report.Engine.coverage)
-                report.Engine.testable report.Engine.untestable;
-              if backend = Engine.Differential then
-                Fmt.pr "backends agree:  %s (%d class(es))@."
-                  (if report.Engine.disagreements = 0 then "yes" else "NO")
-                  report.Engine.classes;
-              Fmt.pr
-                "scoap:           mean CC0 %.1f, CC1 %.1f, CO %.1f; %d \
-                 unobservable node(s)@."
-                sc.Atpg.Scoap.mean_cc0 sc.Atpg.Scoap.mean_cc1
-                sc.Atpg.Scoap.mean_co sc.Atpg.Scoap.unobservable;
-              let removal =
-                if not remove then Ok None
-                else
-                  match
-                    Flow.remove_redundant_checked ~config ~equiv:engine ~spec
-                      nl
-                  with
-                  | Error (Flow.Check_failed { diags = d; _ }) ->
-                      Fmt.pr "%a@." Diag.pp_report d;
-                      Error ()
-                  | Error e ->
-                      Fmt.epr "rdca: %s@." (Flow.error_to_string e);
-                      Error ()
-                  | Ok (rem, equiv_diags) ->
-                      Fmt.pr "removed:         %d redundant line(s) in %d \
-                              pass(es), %d -> %d gates@."
-                        (List.length rem.Atpg.Redundancy.removed)
-                        rem.Atpg.Redundancy.iterations
-                        rem.Atpg.Redundancy.gates_before
-                        rem.Atpg.Redundancy.gates_after;
-                      Fmt.pr
-                        "check:           care-set equivalence OK (%d \
-                         warning(s))@."
-                        (Diag.count Diag.Warn equiv_diags);
-                      Ok (Some rem)
-              in
-              Fmt.pr "%a@." Diag.pp_report (Diag.sort diags);
-              Option.iter
-                (fun path ->
-                  J.write_file path
-                    (J.Obj
-                       ([
-                          ("schema_version", J.Int 1);
-                          ("subject", J.String input);
-                          ("testability", Engine.report_to_json report);
-                          ("scoap", Atpg.Scoap.summary_to_json scoap);
-                          ( "diagnostics",
-                            Diag.report_to_json
-                              ~meta:[ ("subject", J.String input) ]
-                              diags );
-                        ]
-                       @
-                       match removal with
-                       | Ok (Some rem) -> [ ("removal", removal_to_json rem) ]
-                       | _ -> [])))
-                json;
-              if Result.is_error removal || Diag.has_errors diags then 1
-              else 0)
-    end
+    with_max_diags max_diags @@ fun () ->
+    with_spec input @@ fun spec ->
+    with_synthesis ~mode ~strategy spec @@ fun r ->
+    let nl = r.Flow.netlist in
+    let config = { Engine.default_config with Engine.backend; collapse } in
+    match Engine.analyze ~config nl with
+    | exception Invalid_argument msg -> refuse msg
+    | report ->
+        let scoap = Atpg.Scoap.compute nl in
+        let sc = Atpg.Scoap.summarize scoap in
+        let diags = Atpg.Testability_check.diagnostics nl report in
+        Fmt.pr "backend:         %s, %s collapsing@."
+          (Engine.backend_name backend)
+          (Atpg.Fault.mode_name collapse);
+        Fmt.pr "faults:          %d in %d class(es) (%.2fx collapse)@."
+          report.Engine.total_faults report.Engine.classes
+          report.Engine.collapse_ratio;
+        Fmt.pr "coverage:        %.1f%%  (%d testable, %d untestable)@."
+          (100.0 *. report.Engine.coverage)
+          report.Engine.testable report.Engine.untestable;
+        if backend = Engine.Differential then
+          Fmt.pr "backends agree:  %s (%d class(es))@."
+            (if report.Engine.disagreements = 0 then "yes" else "NO")
+            report.Engine.classes;
+        Fmt.pr
+          "scoap:           mean CC0 %.1f, CC1 %.1f, CO %.1f; %d \
+           unobservable node(s)@."
+          sc.Atpg.Scoap.mean_cc0 sc.Atpg.Scoap.mean_cc1 sc.Atpg.Scoap.mean_co
+          sc.Atpg.Scoap.unobservable;
+        let removal =
+          if not remove then Ok None
+          else
+            match
+              Flow.remove_redundant_checked ~config ~equiv:engine ~spec nl
+            with
+            | Error (Flow.Check_failed { diags = d; _ }) ->
+                Fmt.pr "%a@." Diag.pp_report d;
+                Error ()
+            | Error e ->
+                Fmt.epr "rdca: %s@." (Flow.error_to_string e);
+                Error ()
+            | Ok (rem, equiv_diags) ->
+                Fmt.pr
+                  "removed:         %d redundant line(s) in %d pass(es), %d \
+                   -> %d gates@."
+                  (List.length rem.Atpg.Redundancy.removed)
+                  rem.Atpg.Redundancy.iterations
+                  rem.Atpg.Redundancy.gates_before
+                  rem.Atpg.Redundancy.gates_after;
+                Fmt.pr
+                  "check:           care-set equivalence OK (%d warning(s))@."
+                  (Diag.count Diag.Warn equiv_diags);
+                Ok (Some rem)
+        in
+        Fmt.pr "%a@." Diag.pp_report (Diag.sort diags);
+        Option.iter
+          (fun path ->
+            J.write_file path
+              (J.Obj
+                 ([
+                    ("schema_version", J.Int 1);
+                    ("subject", J.String input);
+                    ("testability", Engine.report_to_json report);
+                    ("scoap", Atpg.Scoap.summary_to_json scoap);
+                    ( "diagnostics",
+                      Diag.report_to_json
+                        ~meta:[ ("subject", J.String input) ]
+                        diags );
+                  ]
+                 @
+                 match removal with
+                 | Ok (Some rem) -> [ ("removal", removal_to_json rem) ]
+                 | _ -> [])))
+          json;
+        if Result.is_error removal || Diag.has_errors diags then 1 else 0
   in
   let doc =
     "SAT-based stuck-at testability analysis: fault collapsing, \
@@ -1257,7 +1139,7 @@ let testability_cmd =
     Term.(
       const run $ input_arg $ strategy_args $ mode_arg $ backend_arg
       $ collapse_arg $ remove_arg $ equiv_engine_arg $ max_diags_arg
-      $ json_arg $ jobs_arg)
+      $ json_arg "the testability report" $ jobs_arg)
 
 let suite_cmd =
   let run () =
@@ -1272,190 +1154,6 @@ let suite_cmd =
   let doc = "List the built-in Table 1 benchmark suite" in
   Cmd.v (Cmd.info "suite" ~doc) Term.(const run $ const ())
 
-(* A CI-sized smoke benchmark.  Two sections:
-
-   - smoke-table3: Table 3 over three small suite benchmarks, run with
-     the scalar engine, the word-parallel kernel engine at one job,
-     and the kernel at N jobs — the end-to-end guard for both the
-     determinism contract of the parallel layer and the bit-identical
-     contract of the kernel engine.
-
-   - errbounds-ex1010: the error-rate/bounds inner loop on the largest
-     suite benchmark, repeated for stable timing, reporting the
-     single-threaded kernel-vs-scalar speedup (the headline number of
-     the word-parallel engine).
-
-   Writes the same BENCH_results.json schema as bench/main.exe and
-   fails (exit 1) if any pair of runs disagrees. *)
-let bench_cmd =
-  let module Pool = Parallel.Pool in
-  let module E = Rdca_flow.Experiments in
-  let module J = Rdca_json.Jsonout in
-  let module Profjson = Rdca_json.Profjson in
-  let module K = Bitvec.Bv.Kernel in
-  let run jobs profile json_path =
-    with_jobs_opt jobs @@ fun () ->
-    if profile then Prof.set_enabled true;
-    Interrupt.install ();
-    let n_jobs = Pool.default_jobs () in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (Unix.gettimeofday () -. t0, r)
-    in
-    let t_start = Unix.gettimeofday () in
-    (* Sections land here as they complete, so an interrupt can flush
-       the ones that finished. *)
-    let entries = ref [] in
-    let write_json ~interrupted =
-      J.write_file json_path
-        (J.Obj
-           [
-             ("schema_version", J.Int 4);
-             ("jobs", J.Int n_jobs);
-             ("cores_detected", J.Int (Domain.recommended_domain_count ()));
-             ("profile", J.Bool (Prof.enabled ()));
-             ("full", J.Bool false);
-             ("interrupted", J.Bool interrupted);
-             ( "warm_cache_calls",
-               J.Int (Prof.value (Prof.counter "spec.warm_calls")) );
-             ("pool", Profjson.pool_totals (Pool.stats ()));
-             ("sections", J.List (List.rev !entries));
-             ("total_seconds", J.Float (Unix.gettimeofday () -. t_start));
-           ])
-    in
-    let unhook = Interrupt.on_interrupt (fun () -> write_json ~interrupted:true) in
-    let mismatches = ref [] in
-    (* Triple-run a section body and render its JSON entry (each leg
-       diffs the profiling instruments around itself; span timings are
-       empty unless --profile / RDCA_PROF). *)
-    let triple ~name ~scalars work =
-      let leg ~kernel ~jobs:j =
-        let before = Prof.snapshot () in
-        let t, r =
-          time (fun () -> Pool.with_jobs j (fun () -> K.with_mode kernel work))
-        in
-        (t, Prof.diff ~before ~after:(Prof.snapshot ()), r)
-      in
-      let pool_before = Pool.stats () in
-      let ts, _, rs = leg ~kernel:false ~jobs:1 in
-      let t1, d1, r1 = leg ~kernel:true ~jobs:1 in
-      let tn, dn, rn =
-        if n_jobs > 1 then leg ~kernel:true ~jobs:n_jobs else (t1, d1, r1)
-      in
-      let identical_engine = rs = r1 and identical_jobs = r1 = rn in
-      if not identical_engine then
-        mismatches := (name ^ " [engine]") :: !mismatches;
-      if not identical_jobs then mismatches := (name ^ " [jobs]") :: !mismatches;
-      let speedup_kernel = if t1 > 0.0 then ts /. t1 else 1.0 in
-      let speedup_jobs = if tn > 0.0 then t1 /. tn else 1.0 in
-      Fmt.pr
-        "%s: scalar %.2fs, kernel %.2fs (speedup %.2fx), %.2fs at %d jobs \
-         (speedup %.2fx)@."
-        name ts t1 speedup_kernel tn n_jobs speedup_jobs;
-      let profile_fields =
-        if not (Prof.enabled ()) then []
-        else
-          ("profile_jobs1", Profjson.profile ~wall:t1 d1)
-          ::
-          (if n_jobs > 1 then
-             [ ("profile_jobsN", Profjson.profile ~wall:tn dn) ]
-           else [])
-      in
-      let entry =
-        J.Obj
-          ([
-             ("name", J.String name);
-             ("seconds_scalar", J.Float ts);
-             ("seconds_jobs1", J.Float t1);
-             ("seconds_jobsN", J.Float tn);
-             ("speedup_kernel", J.Float speedup_kernel);
-             ("speedup", J.Float speedup_jobs);
-             ("scalar_run", J.Bool true);
-             ("dual_run", J.Bool (n_jobs > 1));
-             ("identical_engine", J.Bool identical_engine);
-             ("identical", J.Bool identical_jobs);
-             ( "pool",
-               Profjson.pool_delta ~before:pool_before ~after:(Pool.stats ())
-             );
-           ]
-          @ profile_fields
-          @ [ ("scalars", J.Obj (scalars rn)) ])
-      in
-      (entry, ts +. t1 +. tn, rn)
-    in
-    let names = [ "bench"; "fout"; "p3" ] in
-    let table3_entry, _table3_time, table3_rows =
-      triple ~name:"smoke-table3"
-        ~scalars:(fun rn ->
-          List.map
-            (fun r -> (r.E.t3_name ^ "_conv_rate", J.Float r.E.t3_conv_rate))
-            rn)
-        (fun () -> E.table3 ~names ())
-    in
-    entries := table3_entry :: !entries;
-    List.iter
-      (fun r ->
-        Fmt.pr "%-8s gates %4d  conv rate %.4f  exact lo %.4f@." r.E.t3_name
-          r.E.t3_gates r.E.t3_conv_rate (fst r.E.t3_exact))
-      table3_rows;
-    (* Error-rate/bounds inner loop on the largest suite benchmark;
-       repeated so the scalar leg is long enough to time reliably. *)
-    let spec = Synthetic.Suite.load_by_name "ex1010" in
-    let impls =
-      Array.init (Pla.Spec.no spec) (fun o -> Pla.Spec.on_bv spec ~o)
-    in
-    let repeats = 100 in
-    let errbounds_entry, _errbounds_time, (eb_bounds, eb_rate) =
-      triple ~name:"errbounds-ex1010"
-        ~scalars:(fun (b, r) ->
-          [
-            ("min_rate", J.Float (Reliability.Error_rate.min_rate b));
-            ("max_rate", J.Float (Reliability.Error_rate.max_rate b));
-            ("mean_rate", J.Float r);
-          ])
-        (fun () ->
-          let b = ref Reliability.Error_rate.(mean_bounds spec) in
-          let r = ref 0.0 in
-          for _ = 2 to repeats do
-            b := Reliability.Error_rate.mean_bounds spec;
-            r := Reliability.Error_rate.of_tables spec impls
-          done;
-          (!b, !r))
-    in
-    Fmt.pr "errbounds-ex1010: mean bounds [%.4f, %.4f], mean rate %.4f@."
-      (Reliability.Error_rate.min_rate eb_bounds)
-      (Reliability.Error_rate.max_rate eb_bounds)
-      eb_rate;
-    entries := errbounds_entry :: !entries;
-    write_json ~interrupted:false;
-    unhook ();
-    Fmt.pr "wrote %s@." json_path;
-    match !mismatches with
-    | [] -> 0
-    | ms ->
-        Fmt.epr "rdca: scalar/kernel/parallel results differ in: %s@."
-          (String.concat ", " (List.rev ms));
-        1
-  in
-  let json_path =
-    let doc = "Where to write the JSON results." in
-    Arg.(
-      value
-      & opt string "BENCH_results.json"
-      & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let profile_arg =
-    let doc =
-      "Enable the profiling spans and embed per-section span/counter \
-       breakdowns in the JSON (same switch as the RDCA_PROF environment \
-       variable)."
-    in
-    Arg.(value & flag & info [ "profile" ] ~doc)
-  in
-  let doc = "Parallel-determinism smoke benchmark (JSON output, for CI)" in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ jobs_arg $ profile_arg $ json_path)
-
 let main =
   let doc = "Reliability-driven don't care assignment for logic synthesis" in
   let info = Cmd.info "rdca" ~version:"1.0.0" ~doc in
@@ -1463,7 +1161,7 @@ let main =
     [
       stats_cmd; assign_cmd; synth_cmd; faultsim_cmd; campaign_cmd; gen_cmd;
       estimate_cmd; check_cmd; optimize_cmd; testability_cmd; suite_cmd;
-      bench_cmd; worker_cmd;
+      worker_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -259,7 +259,7 @@ let decide nl config f =
       in
       { d_verdict = v; d_witness = w; d_agree = Some (v = v') }
 
-let analyze ?pool ?(config = default_config) nl =
+let analyze ?(config = default_config) nl =
   Prof.time span_analyze @@ fun () ->
   let ni = Netlist.ni nl in
   let collapsed = Fault.collapse ~mode:config.collapse nl in
@@ -270,7 +270,7 @@ let analyze ?pool ?(config = default_config) nl =
   let decide_indices idxs =
     let idxs = Array.of_list idxs in
     let out =
-      Parallel.Pool.map ?pool ~chunk:1
+      Parallel.Pool.map ~chunk:1
         (fun i -> decide nl config classes.(i).Fault.rep)
         idxs
     in

@@ -69,7 +69,7 @@ type report = {
   disagreements : int;  (** [Differential] verdict mismatches *)
 }
 
-val analyze : ?pool:Parallel.Pool.t -> ?config:config -> Netlist.t -> report
+val analyze : ?config:config -> Netlist.t -> report
 (** Collapse the universe and decide every class.
     @raise Invalid_argument if [Exhaustive] is forced with [ni > 20]. *)
 

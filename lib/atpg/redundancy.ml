@@ -188,14 +188,14 @@ let is_noop nl (f : Fault.t) =
       | Gate.Const b -> b = f.Fault.stuck
       | _ -> false)
 
-let remove ?pool ?(config = Engine.default_config) ?(max_iterations = 64) nl =
+let remove ?(config = Engine.default_config) ?(max_iterations = 64) nl =
   let gates_before = Netlist.gate_count nl in
   let current = ref (Netlist.copy nl) in
   let removed = ref [] in
   let iterations = ref 0 in
   let rec loop () =
     incr iterations;
-    let report = Engine.analyze ?pool ~config !current in
+    let report = Engine.analyze ~config !current in
     let pick =
       List.find_map
         (fun r ->

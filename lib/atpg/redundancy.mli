@@ -39,7 +39,6 @@ val apply : Netlist.t -> Fault.t -> Netlist.t
     untestable. *)
 
 val remove :
-  ?pool:Parallel.Pool.t ->
   ?config:Engine.config ->
   ?max_iterations:int ->
   Netlist.t ->

@@ -3,17 +3,7 @@ module Spec_lint = Spec_lint
 module Cover_check = Cover_check
 module Netlist_check = Netlist_check
 
-let implementation ?equiv ?include_redundancy ~spec ?covers ?netlist () =
-  let lint = Spec_lint.lint spec in
-  let covers_diags =
-    match covers with
-    | None -> []
-    | Some cs -> Cover_check.check_covers ?include_redundancy ~spec cs
-  in
-  let netlist_diags =
-    match netlist with
-    | None -> []
-    | Some nl ->
-        Netlist_check.check nl @ Netlist_check.equiv_spec ?engine:equiv ~spec nl
-  in
-  lint @ covers_diags @ netlist_diags
+let implementation ?equiv ?include_redundancy ~spec ~covers nl =
+  Cover_check.check_covers ?include_redundancy ~spec covers
+  @ Netlist_check.check nl
+  @ Netlist_check.equiv_spec ?engine:equiv ~spec nl

@@ -18,19 +18,20 @@ module Spec_lint = Spec_lint
 module Cover_check = Cover_check
 module Netlist_check = Netlist_check
 
-(** [implementation ~spec ?covers ?netlist ()] is the full
-    post-synthesis check: {!Spec_lint.lint} on [spec], then — when
-    given — {!Cover_check.check_covers} of the synthesized covers and
-    {!Netlist_check.check} + {!Netlist_check.equiv_spec} of the mapped
-    netlist, all against [spec]'s care sets.  [spec] should be the
-    {e original} specification: DC assignment may legally move DC
-    minterms either way, so checking against the original proves the
-    cared-about behaviour survived the whole flow. *)
+(** [implementation ~spec ~covers nl] is the post-synthesis audit:
+    {!Cover_check.check_covers} of the synthesized [covers], then
+    {!Netlist_check.check} and {!Netlist_check.equiv_spec} of the
+    mapped netlist [nl], all against [spec]'s care sets.  [spec] should
+    be the {e original} specification: DC assignment may legally move
+    DC minterms either way, so checking against the original proves the
+    cared-about behaviour survived the whole flow.  The spec itself is
+    not linted here: callers lint first, at the level their input
+    allows ({!Spec_lint.lint_pla} on a parsed .pla, {!Spec_lint.lint}
+    otherwise). *)
 val implementation :
   ?equiv:Netlist_check.equiv_engine ->
   ?include_redundancy:bool ->
   spec:Pla.Spec.t ->
-  ?covers:Twolevel.Cover.t list ->
-  ?netlist:Netlist.t ->
-  unit ->
+  covers:Twolevel.Cover.t list ->
+  Netlist.t ->
   Diag.t list

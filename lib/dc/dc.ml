@@ -243,11 +243,11 @@ let candidates nl ~config =
         else incr skipped);
   (Array.of_list (List.rev !cands), !skipped)
 
-let analyze ?pool ?(config = default_config) nl =
+let analyze ?(config = default_config) nl =
   let fanouts = Window.fanouts nl in
   let cands, skipped = candidates nl ~config in
   let nodes =
-    Parallel.Pool.map ?pool ~chunk:1
+    Parallel.Pool.map ~chunk:1
       (fun v -> analyze_node nl fanouts ~config v)
       cands
   in

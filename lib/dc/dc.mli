@@ -72,10 +72,10 @@ type report = {
   disagreements : int;  (** nonzero only under [Differential] *)
 }
 
-(** [analyze ?pool ?config nl] computes the window don't cares of
+(** [analyze ?config nl] computes the window don't cares of
     every internal node (windows are independent, so the sweep is
     pool-parallel and bit-identical at any job count). *)
-val analyze : ?pool:Parallel.Pool.t -> ?config:config -> Netlist.t -> report
+val analyze : ?config:config -> Netlist.t -> report
 
 (** [masks_of nl ~config v] is [(sdc, odc)] for one node — the unit
     the engines are differentially tested on.

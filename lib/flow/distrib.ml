@@ -161,15 +161,6 @@ type campaign_opts = {
   stop_after : int option;
 }
 
-let default_campaign_opts =
-  {
-    sup = Sup.default;
-    shard_size = 4;
-    checkpoint = None;
-    resume = false;
-    stop_after = None;
-  }
-
 let chunk k xs =
   let rec go acc cur n = function
     | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)

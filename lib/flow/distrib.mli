@@ -53,10 +53,6 @@ type campaign_opts = {
           lever, and a crude form of budgeted execution *)
 }
 
-val default_campaign_opts : campaign_opts
-(** {!Resilient.Supervisor.default}, 4 sites per shard, no checkpoint,
-    no resume, no stop-after. *)
-
 val campaign_run :
   campaign_opts ->
   input:string ->

@@ -123,21 +123,6 @@ let apply_strategy strategy spec =
 
 let implement spec = Assign.conventional spec
 
-let implement_checked ?pla spec =
-  let lint =
-    match pla with
-    | Some p -> Check.Spec_lint.lint_pla p
-    | None -> Check.Spec_lint.lint spec
-  in
-  if Check.Diag.has_errors lint then
-    Error (Check_failed { subject = "spec"; diags = lint })
-  else
-    let full, covers = implement spec in
-    let cover_diags = Check.Cover_check.check_covers ~spec covers in
-    if Check.Diag.has_errors cover_diags then
-      Error (Check_failed { subject = "covers"; diags = cover_diags })
-    else Ok (full, covers)
-
 (* [implement] under a cube/time budget: an output whose raw on-cover
    already exceeds [max_cubes], or that comes up after [max_seconds]
    of minimisation time has been spent, keeps its unminimized
@@ -283,25 +268,6 @@ let synthesize_result ?lib ?factored ?budget ?analysis ?analysis_params ~mode
   | r -> Ok r
   | exception Invalid_argument msg -> Error (Synthesis_failure msg)
   | exception Failure msg -> Error (Synthesis_failure msg)
-
-let synthesize_checked ?lib ?factored ?budget ?analysis ?analysis_params ?equiv
-    ~mode ~strategy spec =
-  match
-    synthesize_result ?lib ?factored ?budget ?analysis ?analysis_params ~mode
-      ~strategy spec
-  with
-  | Error e -> Error e
-  | Ok r ->
-      (* Check against the original spec: DC assignment may move DC
-         minterms either way, but the cared-about behaviour must
-         survive the whole flow. *)
-      let diags =
-        Check.implementation ?equiv ~include_redundancy:true ~spec
-          ~covers:r.covers ~netlist:r.netlist ()
-      in
-      if Check.Diag.has_errors diags then
-        Error (Check_failed { subject = "implementation"; diags })
-      else Ok (r, diags)
 
 (* The gate every checked netlist rewrite passes: library exceptions
    become [Synthesis_failure], a [Differential] disagreement between

@@ -120,17 +120,6 @@ val apply_strategy : strategy -> Pla.Spec.t -> Pla.Spec.t
     and returns the fully specified spec plus per-output covers. *)
 val implement : Pla.Spec.t -> Pla.Spec.t * Twolevel.Cover.t list
 
-(** [implement_checked ?pla spec] is {!implement} gated by the static
-    checkers: the spec linter runs first (term-level when [pla] is
-    given) and error-severity diagnostics refuse the spec with
-    [Check_failed] before synthesis; afterwards
-    {!Check.Cover_check.check_covers} proves the produced covers
-    realise the care set, refusing likewise if they do not. *)
-val implement_checked :
-  ?pla:Pla.t ->
-  Pla.Spec.t ->
-  (Pla.Spec.t * Twolevel.Cover.t list, error) Stdlib.result
-
 (** [measured_error ?analysis ?analysis_params ~original assigned] is
     the mean implementation error rate of a fully specified [assigned]
     against [original].  [analysis] (default [Exhaustive], which this
@@ -190,25 +179,6 @@ val synthesize_result :
   strategy:strategy ->
   Pla.Spec.t ->
   (result, error) Stdlib.result
-
-(** [synthesize_checked] is {!synthesize_result} followed by the full
-    {!Check.implementation} audit of the produced covers and netlist
-    against the {e original} spec (redundancy lints included).  On
-    success the non-error diagnostics (warnings, statistics) are
-    returned alongside the result; any error-severity diagnostic turns
-    the whole run into [Error (Check_failed _)].  [equiv] selects the
-    care-set equivalence engine (default [Auto]). *)
-val synthesize_checked :
-  ?lib:Techmap.Stdcell.t list ->
-  ?factored:bool ->
-  ?budget:budget ->
-  ?analysis:Reliability.Analysis.backend ->
-  ?analysis_params:Reliability.Analysis.params ->
-  ?equiv:Check.Netlist_check.equiv_engine ->
-  mode:Techmap.Mapper.mode ->
-  strategy:strategy ->
-  Pla.Spec.t ->
-  (result * Check.Diag.t list, error) Stdlib.result
 
 (** {1 Network don't-care optimization}
 

@@ -1,7 +1,6 @@
 (** Rendering of profiling snapshots and pool scheduling statistics
-    into the schema-v4 [BENCH_results.json] fields, shared by
-    [bench/main.exe] and [rdca bench] so the two harnesses emit the
-    same shapes. *)
+    into the schema-v4 [BENCH_results.json] fields that
+    [bench/main.exe] writes. *)
 
 val attribution_roots : string list
 (** The disjoint top-level spans whose summed time is a section's

@@ -1,6 +1,6 @@
 (** Cooperative SIGINT/SIGTERM handling for long-running commands.
 
-    [rdca faultsim], [rdca campaign] and [rdca bench] register hooks
+    [rdca faultsim], [rdca campaign] and [bench/main.exe] register hooks
     that flush a final checkpoint and a partial JSON report marked
     ["interrupted": true] before the process exits, so hours of fault
     simulation survive a Ctrl-C or a batch-scheduler kill. *)

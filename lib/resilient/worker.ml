@@ -7,28 +7,29 @@ let heartbeat = 0.2
 
 let serve ~handler ~input ~output () =
   (* One writer mutex serialises the main loop's acks/results with the
-     background heartbeats. *)
+     background heartbeats; once [finished] is set under it, no frame
+     is written any more. *)
   let wlock = Mutex.create () in
-  let dead = ref false in
+  let finished = Atomic.make false in
   let send frame =
-    Mutex.lock wlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock wlock)
-      (fun () ->
-        if not !dead then
+    Mutex.protect wlock (fun () ->
+        if not (Atomic.get finished) then
           try Frame.write output frame
-          with Unix.Unix_error _ | Sys_error _ -> dead := true)
+          with Unix.Unix_error _ | Sys_error _ ->
+            (* The supervisor is gone (SIGPIPE is ignored, so a write
+               fails with EPIPE instead of killing us): nothing can take
+               a result any more, so end the process, even while the
+               handler is still busy or stalled. *)
+            Unix._exit 1)
   in
-  let stop_hb = Atomic.make false in
-  let hb_thread =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop_hb) do
-          Thread.delay heartbeat;
-          if not (Atomic.get stop_hb) then send (J.Obj [ ("type", J.String "hb") ])
-        done)
-      ()
+  let rec beat () =
+    Thread.delay heartbeat;
+    if not (Atomic.get finished) then begin
+      send (J.Obj [ ("type", J.String "hb") ]);
+      beat ()
+    end
   in
+  ignore (Thread.create beat () : Thread.t);
   let dec = Frame.decoder () in
   let rec loop () =
     match (try Frame.read input dec with Frame.Protocol_error _ -> None) with
@@ -71,11 +72,10 @@ let serve ~handler ~input ~output () =
                        ("type", J.String "error"); ("id", J.Int id);
                        ("message", J.String (Printexc.to_string e));
                      ]));
-            if not !dead then loop ()
+            loop ()
         | _ -> loop ())
   in
   loop ();
-  Atomic.set stop_hb true;
-  (* The heartbeat thread wakes within one period; joining keeps
-     process exit from racing a last write. *)
-  Thread.join hb_thread
+  (* Under the writer lock, so process exit cannot race a heartbeat
+     write; the heartbeat thread ends on its next wake-up. *)
+  Mutex.protect wlock (fun () -> Atomic.set finished true)

@@ -27,4 +27,5 @@ val serve :
 (** [serve ~handler ~input ~output ()] runs the frame loop until an
     [exit] frame or end of file on [input], beating every 0.2 s in
     the background.  Never raises on protocol or handler errors; a
-    dead supervisor pipe ends the loop. *)
+    write to a dead supervisor pipe ends the process ([Unix._exit]),
+    whatever the handler is doing. *)

@@ -455,24 +455,26 @@ let small_spec () =
   in
   Synthetic.Synth_gen.spec ~rng ~no:3 p
 
-let test_implement_checked_ok () =
-  match Flow.implement_checked (small_spec ()) with
-  | Ok (full, covers) ->
-      check_int "one cover per output" 3 (List.length covers);
-      check "fully specified" true (Spec.dc_fraction full = 0.0)
-  | Error e -> Alcotest.fail (Flow.error_to_string e)
+let test_implement_covers_clean () =
+  let spec = small_spec () in
+  check "spec lints clean" false (Diag.has_errors (Lint.lint spec));
+  let full, covers = Flow.implement spec in
+  check_int "one cover per output" 3 (List.length covers);
+  check "fully specified" true (Spec.dc_fraction full = 0.0);
+  check "covers realise the care set" false
+    (Diag.has_errors (CC.check_covers ~spec covers))
 
-let test_synthesize_checked_clean () =
+let test_synthesize_audit_clean () =
   let spec = small_spec () in
   List.iter
     (fun strategy ->
-      match
-        Flow.synthesize_checked ~mode:Techmap.Mapper.Delay ~strategy spec
-      with
-      | Ok (r, diags) ->
-          check "no error diagnostics" false (Diag.has_errors diags);
-          check "covers ride along" true (List.length r.Flow.covers = 3)
-      | Error e -> Alcotest.fail (Flow.error_to_string e))
+      let r = Flow.synthesize ~mode:Techmap.Mapper.Delay ~strategy spec in
+      let diags =
+        Check.implementation ~include_redundancy:true ~spec
+          ~covers:r.Flow.covers r.Flow.netlist
+      in
+      check "no error diagnostics" false (Diag.has_errors diags);
+      check "covers ride along" true (List.length r.Flow.covers = 3))
     [ Flow.Conventional; Flow.Ranking 1.0; Flow.Complete ]
 
 let test_synthesize_shared_covers () =
@@ -606,9 +608,10 @@ let suite =
       Alcotest.test_case "flow refuses overlap" `Quick test_flow_refuses_overlap;
       Alcotest.test_case "flow load_source lints" `Quick
         test_flow_load_source_lints;
-      Alcotest.test_case "implement_checked ok" `Quick test_implement_checked_ok;
-      Alcotest.test_case "synthesize_checked clean" `Quick
-        test_synthesize_checked_clean;
+      Alcotest.test_case "implement covers check clean" `Quick
+        test_implement_covers_clean;
+      Alcotest.test_case "synthesize audit clean" `Quick
+        test_synthesize_audit_clean;
       Alcotest.test_case "shared covers checked" `Quick
         test_synthesize_shared_covers;
       QCheck_alcotest.to_alcotest prop_espresso_covers_check_clean;

@@ -284,6 +284,50 @@ let test_sup_degrades_without_workers () =
   check "degradation event logged" true
     (List.exists (fun e -> e.Event.code = "degraded") out.Sup.events)
 
+(* A worker stalled in its handler must exit once its supervisor is
+   gone.  Workers inherit the supervisor's ignored SIGPIPE, so the
+   only sign of a dead supervisor is a failed heartbeat write. *)
+let test_worker_exits_without_supervisor () =
+  let r_in, w_in = Unix.pipe ~cloexec:true () in
+  let r_out, w_out = Unix.pipe ~cloexec:true () in
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+      (fun () ->
+        Unix.create_process Sys.executable_name sup_exec.Sup.argv r_in w_out
+          Unix.stderr)
+  in
+  Unix.close r_in;
+  Unix.close w_out;
+  let exited = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !exited then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      Frame.write w_in
+        (J.Obj
+           [
+             ("type", J.String "task"); ("id", J.Int 0); ("attempt", J.Int 0);
+             ("payload", J.Obj [ ("x", J.Int 1) ]); ("chaos", J.String "stall");
+           ]);
+      let ack = Frame.read r_out (Frame.decoder ~tolerate_noise:true ()) in
+      check "ack arrives" true
+        (Option.bind ack (Jin.member "type") = Some (J.String "ack"));
+      Unix.close w_in;
+      Unix.close r_out;
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while (not !exited) && Unix.gettimeofday () < deadline do
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> Unix.sleepf 0.02
+        | _ -> exited := true
+      done;
+      check "stalled worker exits within 2 s of losing its supervisor" true
+        !exited)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign sharding: any partition of the site list, evaluated
    independently and concatenated, equals the monolithic run — the
@@ -378,7 +422,15 @@ let test_distrib_chaos_identical () =
           };
     }
   in
-  let opts = { Distrib.default_campaign_opts with Distrib.sup; shard_size = 2 } in
+  let opts =
+    {
+      Distrib.sup;
+      shard_size = 2;
+      checkpoint = None;
+      resume = false;
+      stop_after = None;
+    }
+  in
   match run_distrib opts (spec, nl, config) with
   | Error e -> Alcotest.fail e
   | Ok d ->
@@ -474,6 +526,8 @@ let suite =
         test_sup_chaos_stall;
       Alcotest.test_case "supervisor: degradation ladder" `Quick
         test_sup_degrades_without_workers;
+      Alcotest.test_case "worker: exits without its supervisor" `Quick
+        test_worker_exits_without_supervisor;
       QCheck_alcotest.to_alcotest prop_shard_partition;
       Alcotest.test_case "distrib: chaos run bit-identical" `Quick
         test_distrib_chaos_identical;
