@@ -3,11 +3,11 @@
    bechamel micro-benchmarks of the core kernels.  Each section runs
    three times — scalar engine, word-parallel kernel engine at one
    job, kernel at N jobs — and the harness asserts all three produce
-   bit-identical results.  Alongside the text output it writes
-   BENCH_results.json: per-section wall-clock for each leg, the
-   engine and parallel speedups, the identical-results verdicts, and
-   a few key result scalars — a machine-checkable regression record
-   for CI.
+   bit-identical results.  With --json FILE it also writes a JSON
+   record: per-section wall-clock for each leg, the engine and
+   parallel speedups, the identical-results verdicts, and a few key
+   result scalars — a machine-checkable regression record for CI.
+   Without --json nothing is written.
 
    Usage:
      dune exec bench/main.exe                  # everything, laptop-scale
@@ -15,12 +15,12 @@
      dune exec bench/main.exe -- --full        # paper-scale sweeps
      dune exec bench/main.exe -- --jobs 4      # worker domains (also RDCA_JOBS)
      dune exec bench/main.exe -- --profile     # span timing on (also RDCA_PROF)
-     dune exec bench/main.exe -- --json out.json
+     dune exec bench/main.exe -- --json BENCH_results.json  # re-record
    Sections: table1 fig2 fig4 fig5 fig6 table2 table3 ablations nodal
    check-ex1010 errbounds-ex1010 backends dc-extract testability micro
 
-   SIGINT/SIGTERM flushes the JSON with the sections finished so far
-   and "interrupted": true.
+   With --json, SIGINT/SIGTERM flushes the JSON with the sections
+   finished so far and "interrupted": true.
 
    Exits non-zero if any section's kernel results differ from the
    scalar oracle, or its parallel results differ from sequential. *)
@@ -480,8 +480,8 @@ let run_check_ex1010 ~full:_ () =
   let diags =
     Diag.sort
       (Check.Spec_lint.lint spec
-      @ Check.implementation ~equiv:Check.Netlist_check.Exhaustive
-          ~include_redundancy:true ~spec ~covers:r.Flow.covers r.Flow.netlist)
+      @ Check.implementation ~equiv:Check.Netlist_check.Exhaustive ~spec
+          ~covers:r.Flow.covers r.Flow.netlist)
   in
   let bdd_diags =
     Check.Netlist_check.equiv_spec ~engine:Check.Netlist_check.Bdd_backed ~spec
@@ -1054,7 +1054,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = ref false
   and jobs = ref (Pool.default_jobs ())
-  and json_path = ref "BENCH_results.json"
+  and json_path = ref None
   and wanted = ref [] in
   let rec parse = function
     | [] -> ()
@@ -1068,7 +1068,7 @@ let () =
             parse rest
         | _ -> usage ())
     | "--json" :: path :: rest ->
-        json_path := path;
+        json_path := Some path;
         parse rest
     | "--profile" :: rest ->
         Prof.set_enabled true;
@@ -1087,9 +1087,9 @@ let () =
   Interrupt.install ();
   let t0 = Unix.gettimeofday () in
   let entries = ref [] in
-  let write_json ~interrupted =
+  let write_json ~interrupted path =
     let total = Unix.gettimeofday () -. t0 in
-    J.write_file !json_path
+    J.write_file path
       (J.Obj
          [
            ("schema_version", J.Int 4);
@@ -1107,8 +1107,11 @@ let () =
   in
   let unhook =
     Interrupt.on_interrupt (fun () ->
-        write_json ~interrupted:true;
-        Printf.eprintf "bench: interrupted, partial results in %s\n%!"
+        Option.iter
+          (fun path ->
+            write_json ~interrupted:true path;
+            Printf.eprintf "bench: interrupted, partial results in %s\n%!"
+              path)
           !json_path)
   in
   List.iter
@@ -1118,8 +1121,11 @@ let () =
   unhook ();
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "\n[total %.1fs]\n" total;
-  write_json ~interrupted:false;
-  Printf.printf "[wrote %s]\n" !json_path;
+  Option.iter
+    (fun path ->
+      write_json ~interrupted:false path;
+      Printf.printf "[wrote %s]\n" path)
+    !json_path;
   match !mismatches with
   | [] -> ()
   | ms ->

@@ -896,8 +896,8 @@ let check_cmd =
           with_synthesis ~mode ~strategy spec @@ fun r ->
           emit input json
             (lint
-            @ Check.implementation ~equiv:engine ~include_redundancy:true ~spec
-                ~covers:r.Flow.covers r.Flow.netlist)
+            @ Check.implementation ~equiv:engine ~spec ~covers:r.Flow.covers
+                r.Flow.netlist)
   in
   let doc = "Statically check a spec and its synthesized implementation" in
   Cmd.v (Cmd.info "check" ~doc)
@@ -1015,8 +1015,8 @@ let testability_cmd =
   let backend_arg =
     let doc =
       "Test-generation engine, " ^ Arg.doc_alts_enum Engine.backends
-      ^ "; $(b,differential) runs SAT plus a reference engine on every \
-         fault and fails on any verdict mismatch."
+      ^ "; $(b,differential) runs SAT plus exhaustive simulation on every \
+         fault and fails on any verdict mismatch (at most 20 inputs)."
     in
     Arg.(
       value

@@ -90,29 +90,3 @@ let cleanup t =
       if reachable.(id) then map.(id) <- A.land_ t' (translate a) (translate b));
   A.set_outputs t' (Array.map translate (A.outputs t));
   t'
-
-let refactor_global t =
-  let n = A.ni t in
-  let man = Bdd.make_man ~nvars:n in
-  (* Per-node BDDs by forward traversal (positive polarity). *)
-  let node_bdd = Array.make (A.num_nodes t) (Bdd.zero man) in
-  for i = 0 to n - 1 do
-    node_bdd.(i + 1) <- Bdd.var man i
-  done;
-  let lit_bdd l =
-    let b = node_bdd.(A.node_of l) in
-    if A.is_complemented l then Bdd.bnot man b else b
-  in
-  A.iter_ands t (fun id a b ->
-      node_bdd.(id) <- Bdd.band man (lit_bdd a) (lit_bdd b));
-  let covers =
-    Array.to_list
-      (Array.map
-         (fun l ->
-           let f = lit_bdd l in
-           let cover, _ = Bdd.isop man ~lower:f ~upper:f in
-           cover)
-         (A.outputs t))
-  in
-  let rebuilt = cleanup (A.of_covers ~ni:n covers) in
-  if A.num_ands rebuilt < A.num_ands (cleanup t) then rebuilt else t

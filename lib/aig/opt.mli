@@ -13,10 +13,3 @@ val balance : Aig_core.t -> Aig_core.t
 
 (** [cleanup t] drops AND nodes not reachable from any output. *)
 val cleanup : Aig_core.t -> Aig_core.t
-
-(** [refactor_global t] re-synthesises every output through a BDD →
-    ISOP → AIG round trip (fully symbolic, so no input-count limit
-    beyond BDD size) and returns the rebuilt AIG when it has fewer
-    AND nodes, the original otherwise.  The ABC "collapse + refactor"
-    move, globally. *)
-val refactor_global : Aig_core.t -> Aig_core.t

@@ -1,6 +1,6 @@
 (** Static stuck-at testability analysis: fault universe and
-    structural collapsing ({!Fault}), SAT/exhaustive/BDD test
-    generation ({!Engine}), redundancy removal from untestable faults
+    structural collapsing ({!Fault}), SAT/exhaustive test generation
+    ({!Engine}), redundancy removal from untestable faults
     ({!Redundancy}), SCOAP heuristics ({!Scoap}) and diagnostic
     reporting ({!Testability_check}). *)
 

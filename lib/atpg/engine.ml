@@ -3,14 +3,13 @@ module Solver = Sat.Solver
 module Cnf = Sat.Cnf
 module J = Rdca_json.Jsonout
 
-type backend = Auto | Sat_engine | Exhaustive | Bdd_engine | Differential
+type backend = Auto | Sat_engine | Exhaustive | Differential
 
 let backends =
   [
     ("auto", Auto);
     ("sat", Sat_engine);
     ("exhaustive", Exhaustive);
-    ("bdd", Bdd_engine);
     ("differential", Differential);
   ]
 
@@ -186,46 +185,6 @@ let exhaustive_decide nl (f : Fault.t) =
     | None -> (Untestable, None)
   end
 
-(* BDD backend: good and faulty cones as BDDs over the inputs, the
-   miter checked for constant zero. *)
-let bdd_decide nl (f : Fault.t) =
-  let affected = affected_set nl f in
-  if not (any_affected_output nl affected) then (Untestable, None)
-  else begin
-    let ni = Netlist.ni nl in
-    let man = Bdd.make_man ~nvars:(max 1 ni) in
-    let n = Netlist.node_count nl in
-    let good = Array.make n (Bdd.zero man) in
-    for i = 0 to ni - 1 do
-      good.(i) <- Bdd.var man i
-    done;
-    Netlist.iter_nodes nl (fun v g fis ->
-        good.(v) <- Bdd.of_gate man g (Array.map (fun i -> good.(i)) fis));
-    let bad = Array.copy good in
-    let const b = if b then Bdd.one man else Bdd.zero man in
-    (match f.Fault.pin with
-    | Fault.Stem -> bad.(f.Fault.node) <- const f.Fault.stuck
-    | Fault.Branch j ->
-        let fis = Netlist.fanins nl f.Fault.node in
-        let fb =
-          Array.mapi
-            (fun k i -> if k = j then const f.Fault.stuck else good.(i))
-            fis
-        in
-        bad.(f.Fault.node) <- Bdd.of_gate man (Netlist.gate nl f.Fault.node) fb);
-    Netlist.iter_nodes nl (fun v g fis ->
-        if v <> f.Fault.node && affected.(v) then
-          bad.(v) <- Bdd.of_gate man g (Array.map (fun i -> bad.(i)) fis));
-    let miter = ref (Bdd.zero man) in
-    Array.iter
-      (fun o ->
-        if affected.(o) then
-          miter := Bdd.bor man !miter (Bdd.bxor man good.(o) bad.(o)))
-      (Netlist.outputs nl);
-    if Bdd.is_zero man !miter then (Untestable, None)
-    else (Testable, Bdd.any_sat man !miter)
-  end
-
 type decision = {
   d_verdict : verdict;
   d_witness : int option;
@@ -237,7 +196,6 @@ let resolve_backend (config : config) ni =
   | Auto -> if ni <= config.auto_cutoff && ni <= 20 then `Exhaustive else `Sat
   | Sat_engine -> `Sat
   | Exhaustive -> `Exhaustive
-  | Bdd_engine -> `Bdd
   | Differential -> `Differential
 
 let decide nl config f =
@@ -249,14 +207,9 @@ let decide nl config f =
   | `Exhaustive ->
       let v, w = exhaustive_decide nl f in
       { d_verdict = v; d_witness = w; d_agree = None }
-  | `Bdd ->
-      let v, w = bdd_decide nl f in
-      { d_verdict = v; d_witness = w; d_agree = None }
   | `Differential ->
+      let v', _ = exhaustive_decide nl f in
       let v, w = sat_decide nl f in
-      let v', _ =
-        if ni <= 20 then exhaustive_decide nl f else bdd_decide nl f
-      in
       { d_verdict = v; d_witness = w; d_agree = Some (v = v') }
 
 let analyze ?(config = default_config) nl =

@@ -11,16 +11,15 @@
 
     Backends: [Sat_engine] builds the miter in CNF and asks
     {!Sat.Solver}; [Exhaustive] simulates all [2^ni] patterns
-    word-parallel (63 per word) and is exact for [ni <= 20];
-    [Bdd_engine] builds both cones as BDDs and checks the miter for
-    constant zero; [Auto] picks [Exhaustive] below the cutoff and
-    [Sat_engine] above; [Differential] runs SAT {e and} a reference
-    backend on every class and records verdict disagreements, the
-    same audit shape as [Dc.analyze].  Classes are analysed through
-    [Parallel.Pool] with one fresh solver per fault, so results are
-    bit-identical at every job count. *)
+    word-parallel (63 per word) and is exact for [ni <= 20]; [Auto]
+    picks [Exhaustive] below the cutoff and [Sat_engine] above;
+    [Differential] runs SAT {e and} [Exhaustive] on every class and
+    records verdict disagreements, the same audit shape as
+    [Dc.analyze].  Classes are analysed through [Parallel.Pool] with
+    one fresh solver per fault, so results are bit-identical at every
+    job count. *)
 
-type backend = Auto | Sat_engine | Exhaustive | Bdd_engine | Differential
+type backend = Auto | Sat_engine | Exhaustive | Differential
 
 (** Every backend once, with its CLI/JSON name. *)
 val backends : (string * backend) list
@@ -71,7 +70,8 @@ type report = {
 
 val analyze : ?config:config -> Netlist.t -> report
 (** Collapse the universe and decide every class.
-    @raise Invalid_argument if [Exhaustive] is forced with [ni > 20]. *)
+    @raise Invalid_argument if [Exhaustive] or [Differential] is forced
+    with [ni > 20]. *)
 
 val untestable_classes : report -> fault_result list
 

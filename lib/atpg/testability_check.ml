@@ -52,7 +52,7 @@ let diagnostics nl report =
     if report.Engine.disagreements > 0 then
       [
         Diag.error ~code:"atpg-backend-mismatch" ~loc:Diag.Global
-          "SAT and reference backends disagree on %d fault class(es)"
+          "SAT and exhaustive backends disagree on %d fault class(es)"
           report.Engine.disagreements;
       ]
     else []

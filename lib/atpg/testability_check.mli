@@ -11,7 +11,7 @@
       one and is inadmissible under stuck-at defects (exit 1 in the
       CLI).
     - [atpg-backend-mismatch] ({e error}, global): the
-      [Differential] backend saw SAT and the reference engine
+      [Differential] backend saw SAT and exhaustive simulation
       disagree on at least one verdict.
     - [fault-coverage] ({e info}, global): summary line. *)
 

@@ -187,18 +187,6 @@ let iter_minterms m f g =
     if eval_minterm m f mt then g mt
   done
 
-let any_sat m f =
-  if f = 0 then None
-  else
-    let rec go f acc =
-      if f = 1 then acc
-      else
-        let v = m.var_of.(f) in
-        if m.high_of.(f) <> 0 then go m.high_of.(f) (acc lor (1 lsl v))
-        else go m.low_of.(f) acc
-    in
-    Some (go f 0)
-
 let size m f =
   let seen = Hashtbl.create 64 in
   let rec go f =
@@ -303,20 +291,6 @@ let to_bv m f =
   iter_minterms m f (Bitvec.Bv.set bv);
   bv
 
-let to_cover m f =
-  let cubes = ref [] in
-  let rec go f cube =
-    if f = 1 then cubes := cube :: !cubes
-    else if f = 0 then ()
-    else begin
-      let v = m.var_of.(f) in
-      go m.low_of.(f) (Twolevel.Cube.set cube v Twolevel.Cube.Zero);
-      go m.high_of.(f) (Twolevel.Cube.set cube v Twolevel.Cube.One)
-    end
-  in
-  go f (Twolevel.Cube.full ~n:m.nvars);
-  Twolevel.Cover.make ~n:m.nvars (List.rev !cubes)
-
 let node_count m = m.next - 2
 
 let clear_caches m = Hashtbl.reset m.ite_cache
@@ -337,100 +311,6 @@ let flip_var m f i =
           r
   in
   go f
-
-let size_many m roots =
-  let seen = Hashtbl.create 64 in
-  let rec go f =
-    if f > 1 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      go m.low_of.(f);
-      go m.high_of.(f)
-    end
-  in
-  List.iter go roots;
-  Hashtbl.length seen
-
-let is_permutation n order =
-  Array.length order = n
-  &&
-  let seen = Array.make n false in
-  Array.for_all
-    (fun v ->
-      if v < 0 || v >= n || seen.(v) then false
-      else begin
-        seen.(v) <- true;
-        true
-      end)
-    order
-
-let convert_with_order m roots ~order =
-  if not (is_permutation m.nvars order) then
-    invalid_arg "Bdd.convert_with_order: not a permutation";
-  let dst = make_man ~nvars:m.nvars in
-  (* new level of an original variable *)
-  let level_of = Array.make m.nvars 0 in
-  Array.iteri (fun p v -> level_of.(v) <- p) order;
-  let memo = Hashtbl.create 256 in
-  let rec conv f =
-    if f <= 1 then f
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-          let v = m.var_of.(f) in
-          let lo = conv m.low_of.(f) in
-          let hi = conv m.high_of.(f) in
-          let r = ite dst (var dst level_of.(v)) hi lo in
-          Hashtbl.add memo f r;
-          r
-  in
-  let roots' = List.map conv roots in
-  (dst, roots')
-
-let eval_reordered m root ~order mt =
-  eval m root (fun level -> mt land (1 lsl order.(level)) <> 0)
-
-let sift m roots =
-  let n = m.nvars in
-  let try_order order =
-    let dst, roots' = convert_with_order m roots ~order in
-    (size_many dst roots', dst, roots')
-  in
-  let current = ref (Array.init n (fun i -> i)) in
-  let best_size = ref (size_many m roots) in
-  let improved = ref true in
-  let passes = ref 0 in
-  while !improved && !passes < 3 do
-    improved := false;
-    incr passes;
-    for v = 0 to n - 1 do
-      (* try variable v at every position, keep the best *)
-      let base = Array.copy !current in
-      let pos_of_v =
-        let p = ref 0 in
-        Array.iteri (fun i x -> if x = v then p := i) base;
-        !p
-      in
-      let without = Array.of_list (List.filter (( <> ) v) (Array.to_list base)) in
-      for p = 0 to n - 1 do
-        if p <> pos_of_v then begin
-          let cand = Array.make n 0 in
-          for i = 0 to n - 2 do
-            cand.(if i < p then i else i + 1) <- without.(i)
-          done;
-          cand.(p) <- v;
-          let sz, _, _ = try_order cand in
-          if sz < !best_size then begin
-            best_size := sz;
-            current := cand;
-            improved := true
-          end
-        end
-      done
-    done
-  done;
-  let dst, roots' = convert_with_order m roots ~order:!current in
-  (dst, roots', !current)
 
 let isop m ~lower ~upper =
   if band m lower (bnot m upper) <> 0 then

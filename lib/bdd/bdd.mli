@@ -6,6 +6,9 @@
     functions built in the same manager is physical equality of
     handles ({!equal}).  The variable order is fixed (index order);
     dynamic reordering is not needed at the paper's problem sizes.
+    Its users are the symbolic reliability analysis
+    ([Analysis.Bdd_exact], [Sym]), the care-set equivalence proof of
+    [Netlist_check] and the windowed don't-care extractor [Dc].
 
     Handles are only meaningful with the manager that created them;
     mixing managers raises [Invalid_argument] where detectable. *)
@@ -84,9 +87,6 @@ val satcount : man -> t -> int
     for the dense regime the paper works in. *)
 val iter_minterms : man -> t -> (int -> unit) -> unit
 
-(** [any_sat man f] is a satisfying minterm, or [None] for [zero]. *)
-val any_sat : man -> t -> int option
-
 (** [size man f] is the number of distinct internal nodes of [f]
     (terminals excluded). *)
 val size : man -> t -> int
@@ -116,10 +116,6 @@ val of_bv : man -> Bitvec.Bv.t -> t
 (** [to_bv man f] densely expands [f] (requires [nvars <= 24]). *)
 val to_bv : man -> t -> Bitvec.Bv.t
 
-(** [to_cover man f] extracts an (unminimised) cube cover of [f] by
-    enumerating BDD paths to the 1-terminal. *)
-val to_cover : man -> t -> Twolevel.Cover.t
-
 (** [node_count man] is the total number of live nodes in the manager,
     a health metric for tests and benchmarks. *)
 val node_count : man -> int
@@ -137,44 +133,14 @@ val flip_var : man -> t -> int -> t
     internal computation is float-based either way). *)
 val satcount_float : man -> t -> float
 
-(** {1 Variable reordering}
-
-    The manager's order is fixed (variable index = level), so
-    reordering rebuilds roots into a fresh manager with relabelled
-    variables.  [order.(p)] is the ORIGINAL variable sitting at level
-    [p] of the new manager: to evaluate a converted root on an
-    original minterm, route original variable [order.(p)] to new
-    variable [p] (see [eval_reordered]). *)
-
-(** [size_many man roots] counts distinct internal nodes across all
-    roots (shared nodes counted once). *)
-val size_many : man -> t list -> int
-
-(** [convert_with_order src roots ~order] rebuilds the roots in a new
-    manager where level [p] carries original variable [order.(p)].
-    @raise Invalid_argument if [order] is not a permutation. *)
-val convert_with_order : man -> t list -> order:int array -> man * t list
-
-(** [eval_reordered man' root ~order m] evaluates a converted root on
-    an original-variable minterm. *)
-val eval_reordered : man -> t -> order:int array -> int -> bool
-
-(** [sift man roots] greedily searches variable orders (each variable
-    tried at every position, best kept; repeated while improving,
-    bounded passes) to reduce {!size_many}.  Returns the new manager,
-    converted roots and the order found.  Worst-case
-    O(passes * nvars^2) rebuilds — a demonstration-grade reimplementation
-    of CUDD's sifting. *)
-val sift : man -> t list -> man * t list * int array
-
 (** {1 ISOP — irredundant sum-of-products extraction}
 
     The Minato-Morreale algorithm: given an incompletely specified
     function as the interval [lower, upper] (lower = on-set,
     upper = on-set ∪ DC-set), produce an irredundant cube cover [c]
-    with [lower <= c <= upper], entirely symbolically.  Together with
-    {!module:Bdd} set manipulation this is the n > 20 synthesis path
-    (the dense espresso stays the workhorse below that). *)
+    with [lower <= c <= upper], entirely symbolically: a cover for
+    functions too wide for the dense espresso (see
+    [examples/symbolic_analysis.ml]). *)
 
 (** [isop man ~lower ~upper] is [(cover, cover_bdd)].
     @raise Invalid_argument if [lower] is not contained in [upper]. *)

@@ -30,7 +30,6 @@ module Netlist_check = Netlist_check
     otherwise). *)
 val implementation :
   ?equiv:Netlist_check.equiv_engine ->
-  ?include_redundancy:bool ->
   spec:Pla.Spec.t ->
   covers:Twolevel.Cover.t list ->
   Netlist.t ->

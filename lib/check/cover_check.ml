@@ -35,7 +35,7 @@ let first_set bv =
     None
   with Found i -> Some i
 
-let check_cover ?(include_redundancy = true) ~spec ~o cover =
+let check_cover ~spec ~o cover =
   let ni = Spec.ni spec in
   if Cover.n cover <> ni then
     [
@@ -75,53 +75,51 @@ let check_cover ?(include_redundancy = true) ~spec ~o cover =
                  o !overlap))
         (Cover.cubes cover)
     end;
-    if include_redundancy then begin
-      let cubes = Array.of_list (Cover.cubes cover) in
-      let ncubes = Array.length cubes in
-      (* Single-cube containment: cube i inside cube k (i <> k). *)
-      for i = 0 to ncubes - 1 do
-        let rec contained k =
-          if k >= ncubes then None
-          else if k <> i && Cube.subsumes cubes.(k) cubes.(i) then Some k
-          else contained (k + 1)
-        in
-        match contained 0 with
-        | Some k ->
+    let cubes = Array.of_list (Cover.cubes cover) in
+    let ncubes = Array.length cubes in
+    (* Single-cube containment: cube i inside cube k (i <> k). *)
+    for i = 0 to ncubes - 1 do
+      let rec contained k =
+        if k >= ncubes then None
+        else if k <> i && Cube.subsumes cubes.(k) cubes.(i) then Some k
+        else contained (k + 1)
+      in
+      match contained 0 with
+      | Some k ->
+          add
+            (Diag.warn ~code:"contained-cube"
+               ~loc:(Diag.Cube { output = o; index = i })
+               "cube %d (%s) of output y%d is contained in cube %d" i
+               (Cube.to_string ~n:ni cubes.(i))
+               o k)
+      | None ->
+          (* Irredundancy: cube i covered by the rest of the cover
+             plus the DC-set.  Dense: cube_bv subset (cover \ cube_i)
+             union dc. *)
+          let _, _, dc = Spec.phase_planes spec ~o in
+          let cube_bv =
+            Cover.to_bv (Cover.make ~n:ni [ cubes.(i) ])
+          in
+          let rest =
+            Cover.make ~n:ni
+              (List.filteri (fun k _ -> k <> i) (Array.to_list cubes))
+          in
+          let rest_bv = Cover.to_bv rest in
+          Bv.union_in_place rest_bv dc;
+          if Bv.subset cube_bv rest_bv then
             add
-              (Diag.warn ~code:"contained-cube"
+              (Diag.warn ~code:"redundant-cube"
                  ~loc:(Diag.Cube { output = o; index = i })
-                 "cube %d (%s) of output y%d is contained in cube %d" i
+                 "cube %d (%s) of output y%d is covered by the rest of the \
+                  cover and the DC-set"
+                 i
                  (Cube.to_string ~n:ni cubes.(i))
-                 o k)
-        | None ->
-            (* Irredundancy: cube i covered by the rest of the cover
-               plus the DC-set.  Dense: cube_bv subset (cover \ cube_i)
-               union dc. *)
-            let _, _, dc = Spec.phase_planes spec ~o in
-            let cube_bv =
-              Cover.to_bv (Cover.make ~n:ni [ cubes.(i) ])
-            in
-            let rest =
-              Cover.make ~n:ni
-                (List.filteri (fun k _ -> k <> i) (Array.to_list cubes))
-            in
-            let rest_bv = Cover.to_bv rest in
-            Bv.union_in_place rest_bv dc;
-            if Bv.subset cube_bv rest_bv then
-              add
-                (Diag.warn ~code:"redundant-cube"
-                   ~loc:(Diag.Cube { output = o; index = i })
-                   "cube %d (%s) of output y%d is covered by the rest of the \
-                    cover and the DC-set"
-                   i
-                   (Cube.to_string ~n:ni cubes.(i))
-                   o)
-      done
-    end;
+                 o)
+    done;
     List.rev !diags
   end
 
-let check_covers ?include_redundancy ~spec covers =
+let check_covers ~spec covers =
   let no = Spec.no spec in
   if List.length covers <> no then
     invalid_arg
@@ -135,6 +133,6 @@ let check_covers ?include_redundancy ~spec covers =
   done;
   let per_output =
     Parallel.Pool.init no (fun o ->
-        check_cover ?include_redundancy ~spec ~o covers.(o))
+        check_cover ~spec ~o covers.(o))
   in
   List.concat (Array.to_list per_output)

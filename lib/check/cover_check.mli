@@ -27,24 +27,14 @@ val coverage_counts_scalar :
     cover: [uncovered-onset] / [offset-hit] errors (with example
     minterms and the offending cube indices), [contained-cube] and
     [redundant-cube] warnings, plus an arity-mismatch error when the
-    cover's input count differs from the spec's.
-    [include_redundancy] (default true) controls the warning passes —
-    the error passes are cheap, the redundancy passes cost one cover
-    expansion per cube. *)
+    cover's input count differs from the spec's.  The redundancy
+    passes behind the warnings cost one cover expansion per cube. *)
 val check_cover :
-  ?include_redundancy:bool ->
-  spec:Pla.Spec.t ->
-  o:int ->
-  Twolevel.Cover.t ->
-  Diag.t list
+  spec:Pla.Spec.t -> o:int -> Twolevel.Cover.t -> Diag.t list
 
 (** [check_covers ~spec covers] runs {!check_cover} for every output
     (covers listed in output order) as a parallel map over the worker
     pool, diagnostics concatenated in output order.
     @raise Invalid_argument when the list length differs from the
     spec's output count. *)
-val check_covers :
-  ?include_redundancy:bool ->
-  spec:Pla.Spec.t ->
-  Twolevel.Cover.t list ->
-  Diag.t list
+val check_covers : spec:Pla.Spec.t -> Twolevel.Cover.t list -> Diag.t list

@@ -20,18 +20,6 @@ let graph_of_netlist nl =
     outputs = Array.copy (Netlist.outputs nl);
   }
 
-let graph_of_aig aig =
-  let n = Aig.num_nodes aig and ni = Aig.ni aig in
-  let fanins = Array.make n [||] in
-  Aig.iter_ands aig (fun id f0 f1 ->
-      fanins.(id) <- [| Aig.node_of f0; Aig.node_of f1 |]);
-  {
-    node_count = n;
-    inputs = Array.init ni (fun i -> i + 1);
-    fanins;
-    outputs = Array.map Aig.node_of (Aig.outputs aig);
-  }
-
 (* Strongly connected components, iterative Tarjan (explicit DFS
    frames: no recursion depth limit on deep netlists).  Out-of-range
    fanins are skipped here and reported separately. *)
@@ -200,7 +188,6 @@ let structure g =
 
 let check nl = structure (graph_of_netlist nl)
 
-let check_aig aig = structure (graph_of_aig aig)
 
 (* ------------------------------------------------------------------ *)
 (* Care-set equivalence of a mapped netlist against its spec. *)

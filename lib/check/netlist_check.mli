@@ -1,4 +1,4 @@
-(** Structural and functional analysis of gate-level netlists and AIGs.
+(** Structural and functional analysis of gate-level netlists.
 
     Structural checks run over an explicit fanin {!graph} so they also
     apply to representations that — unlike {!Netlist.t}, which enforces
@@ -29,8 +29,6 @@ type graph = {
 
 val graph_of_netlist : Netlist.t -> graph
 
-val graph_of_aig : Aig.t -> graph
-
 (** [structure g] is the structural diagnostics of [g]:
     [combinational-cycle] errors (one per non-trivial SCC or
     self-loop), [dangling-node] warnings for non-input nodes outside
@@ -41,9 +39,6 @@ val structure : graph -> Diag.t list
 
 (** [check nl] is [structure (graph_of_netlist nl)]. *)
 val check : Netlist.t -> Diag.t list
-
-(** [check_aig aig] is [structure (graph_of_aig aig)]. *)
-val check_aig : Aig.t -> Diag.t list
 
 (** Engine for the care-set equivalence proof. *)
 type equiv_engine = Auto | Exhaustive | Bdd_backed

@@ -1,14 +1,12 @@
-(* Dense-set espresso: the same EXPAND / IRREDUNDANT / ESSENTIAL /
-   REDUCE loop as the cover-algebra implementation, but with every
-   coverage question answered against bit-vectors over the 2^n minterm
-   space and a per-minterm cover-count array.  Exact for n <= 20 and
-   fast enough to minimise every output of every benchmark inside the
-   paper's parameter sweeps.
+(* Dense-set espresso: the EXPAND / IRREDUNDANT / REDUCE loop with
+   every coverage question answered against bit-vectors over the 2^n
+   minterm space and a per-minterm cover-count array.  Exact for
+   n <= 20 and fast enough to minimise every output of every benchmark
+   inside the paper's parameter sweeps.
 
    Key correspondences with classical espresso:
    - raisable(c, j)   <=>  the newly added half-cube avoids the off-set;
    - redundant(c)     <=>  every on-minterm of c is covered >= 2 times;
-   - essential(c)     <=>  some on-minterm of c is covered exactly once;
    - reduce(c)        =    supercube of c's uniquely covered on-minterms. *)
 
 module Cube = Twolevel.Cube
@@ -139,13 +137,6 @@ let irredundant ctx cubes =
       end
       else true)
     sorted
-
-let is_essential ctx c =
-  let ess = ref false in
-  iter_cube_minterms ~n:ctx.n
-    (fun m -> if Bv.get ctx.on m && ctx.counts.(m) = 1 then ess := true)
-    c;
-  !ess
 
 (* Smallest cube containing a set of minterms. *)
 let supercube_of_minterms ~n ms =

@@ -1,39 +1,3 @@
-module Cover = Twolevel.Cover
-
-type result = { cover : Cover.t; iterations : int }
-
-let cost c = (Cover.size c, Cover.literal_count c)
-
-let minimize ~on ~dc =
-  if Cover.n on <> Cover.n dc then invalid_arg "Espresso.minimize: arity";
-  let n = Cover.n on in
-  if Cover.cubes on = [] then { cover = Cover.empty ~n; iterations = 0 }
-  else begin
-    let off = Cover.complement (Cover.union on dc) in
-    let f = Expand.run ~on ~off in
-    let f = Irredundant.run ~on:f ~dc in
-    let ess, f = Essential.extract ~on:f ~dc in
-    let dc' = Cover.union dc ess in
-    let rec loop f best_cost iters =
-      if iters >= 20 then (f, iters)
-      else
-        let f' = Reduce.run ~on:f ~dc:dc' in
-        let f' = Expand.run ~on:f' ~off in
-        let f' = Irredundant.run ~on:f' ~dc:dc' in
-        let c = cost f' in
-        if c < best_cost then loop f' c (iters + 1) else (f, iters + 1)
-    in
-    let f, iterations = loop f (cost f) 0 in
-    let cover = Cover.single_cube_containment (Cover.union f ess) in
-    { cover; iterations }
-  end
-
-let minimize_cover ~on ~dc = (minimize ~on ~dc).cover
-
-module Expand = Expand
-module Irredundant = Irredundant
-module Reduce = Reduce
-module Essential = Essential
 module Dense = Dense
 module Qm = Qm
 module Multi = Multi

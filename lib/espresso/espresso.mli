@@ -1,64 +1,19 @@
 (** Heuristic two-level (SOP) minimisation in the style of ESPRESSO.
 
     This is the substitute for Berkeley ESPRESSO used throughout the
-    reproduction: it implements the classical
-    EXPAND / IRREDUNDANT / ESSENTIAL / REDUCE loop over the
-    unate-recursive cover algebra of {!Twolevel}.  Conventional DC
-    assignment — "assign each DC minterm to whatever minimises the SOP"
-    — is exactly "cover the on-set, allowed to dip into the DC-set",
-    which is what {!minimize} computes. *)
-
-(** Result of a minimisation run. *)
-type result = {
-  cover : Twolevel.Cover.t;  (** minimised cover of the on-set *)
-  iterations : int;  (** reduce/expand/irredundant passes executed *)
-}
-
-(** [minimize ~on ~dc] heuristically minimises the incompletely
-    specified single-output function whose on-set is covered by [on]
-    and whose DC-set by [dc].  The result covers every [on] minterm,
-    no off-set minterm, and any subset of [dc].
-    @raise Invalid_argument if the arities differ. *)
-val minimize : on:Twolevel.Cover.t -> dc:Twolevel.Cover.t -> result
-
-(** [minimize_cover ~on ~dc] is [(minimize ~on ~dc).cover]. *)
-val minimize_cover :
-  on:Twolevel.Cover.t -> dc:Twolevel.Cover.t -> Twolevel.Cover.t
-
-(** [cost c] is espresso's cost pair: (cube count, literal count). *)
-val cost : Twolevel.Cover.t -> int * int
-
-(** The individual passes, exposed for testing and ablation. *)
-
-module Expand : sig
-  (** [run ~on ~off] raises every cube of [on] to a prime implicant
-      against the off-cover [off] and drops covered cubes. *)
-  val run :
-    on:Twolevel.Cover.t -> off:Twolevel.Cover.t -> Twolevel.Cover.t
-end
-
-module Irredundant : sig
-  (** [run ~on ~dc] drops cubes covered by the rest of [on] plus [dc]. *)
-  val run : on:Twolevel.Cover.t -> dc:Twolevel.Cover.t -> Twolevel.Cover.t
-end
-
-module Reduce : sig
-  (** [run ~on ~dc] maximally reduces each cube against the rest. *)
-  val run : on:Twolevel.Cover.t -> dc:Twolevel.Cover.t -> Twolevel.Cover.t
-end
-
-module Essential : sig
-  (** [extract ~on ~dc] is [(essential, non_essential)]. *)
-  val extract :
-    on:Twolevel.Cover.t ->
-    dc:Twolevel.Cover.t ->
-    Twolevel.Cover.t * Twolevel.Cover.t
-end
+    reproduction.  {!Dense} is the single-output minimiser: the
+    classical EXPAND / IRREDUNDANT / REDUCE loop with every coverage
+    question answered by per-minterm cover counts over the dense [2^n]
+    space.  Conventional DC assignment — "assign each DC minterm to
+    whatever minimises the SOP" — is exactly "cover the on-set, allowed
+    to dip into the DC-set", which is what {!Dense.minimize} computes.
+    {!Multi} is the multi-output variant with shared cubes, and {!Qm}
+    the exact oracle the tests compare both against. *)
 
 module Dense : sig
-  (** Dense-set espresso over bit-vector on/dc sets: same loop, every
-      coverage question answered in O(cube size) against the 2^n
-      space.  The workhorse for the paper's n <= 12 benchmarks. *)
+  (** Dense-set espresso over bit-vector on/dc sets: every coverage
+      question answered in O(cube size) against the 2^n space.  The
+      workhorse for the paper's n <= 12 benchmarks. *)
 
   (** [minimize ~n ~on ~dc] minimises the function with on-set [on]
       and DC-set [dc] given as characteristic vectors of length [2^n].

@@ -64,8 +64,6 @@ let error_to_string = function
         | Some d -> Format.asprintf "%a" Check.Diag.pp d
         | None -> "(none)")
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 type source = { spec : Pla.Spec.t; pla : Pla.t option; origin : string }
 
 let load_source name =

@@ -80,8 +80,6 @@ type error =
 
 val error_to_string : error -> string
 
-val pp_error : Format.formatter -> error -> unit
-
 (** [load_spec name] resolves [name] the way the CLI does: an existing
     file parses as .pla; otherwise, a name that does not look like a
     path is looked up in the built-in benchmark suite.  A .pla file

@@ -57,45 +57,12 @@ let of_netlist ?(model = "rdca") nl =
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
 
-let of_aig ?(model = "rdca_aig") aig =
-  let buf = Buffer.create 4096 in
-  let ni = Aig.ni aig in
-  let inputs = List.init ni (fun i -> Printf.sprintf "x%d" i) in
-  let outs = Aig.outputs aig in
-  let out_names =
-    Array.to_list (Array.mapi (fun o _ -> Printf.sprintf "po%d" o) outs)
-  in
-  header buf model inputs out_names;
-  let node_name id =
-    if id = 0 then "const0"
-    else if id <= ni then Printf.sprintf "x%d" (id - 1)
-    else Printf.sprintf "a%d" id
-  in
-  Printf.bprintf buf ".names const0\n";
-  Aig.iter_ands aig (fun id a b ->
-      let pa = if Aig.is_complemented a then "0" else "1" in
-      let pb = if Aig.is_complemented b then "0" else "1" in
-      Printf.bprintf buf ".names %s %s %s\n%s%s 1\n"
-        (node_name (Aig.node_of a))
-        (node_name (Aig.node_of b))
-        (node_name id) pa pb);
-  Array.iteri
-    (fun o l ->
-      let pol = if Aig.is_complemented l then "0" else "1" in
-      Printf.bprintf buf ".names %s po%d\n%s 1\n"
-        (node_name (Aig.node_of l))
-        o pol)
-    outs;
-  Buffer.add_string buf ".end\n";
-  Buffer.contents buf
-
 let write file s =
   let oc = open_out file in
   output_string oc s;
   close_out oc
 
 let write_netlist ?model path nl = write path (of_netlist ?model nl)
-let write_aig ?model path aig = write path (of_aig ?model aig)
 
 exception Parse_error of string
 

@@ -1,6 +1,6 @@
 (** BLIF (Berkeley Logic Interchange Format) emission.
 
-    Lets mapped or unmapped netlists and AIGs travel to external tools
+    Lets mapped or unmapped netlists travel to external tools
     (ABC reads this directly), mirroring how the paper moved designs
     between its tools. Gates are written as [.names] tables; mapped
     cells keep their library name in a comment. *)
@@ -8,13 +8,8 @@
 (** [of_netlist ?model nl] renders a combinational BLIF model. *)
 val of_netlist : ?model:string -> Netlist.t -> string
 
-(** [of_aig ?model aig] renders an AIG as 2-input [.names] tables. *)
-val of_aig : ?model:string -> Aig.t -> string
-
-(** [write_netlist path nl] / [write_aig path aig] write files. *)
+(** [write_netlist path nl] writes [of_netlist nl] to [path]. *)
 val write_netlist : ?model:string -> string -> Netlist.t -> unit
-
-val write_aig : ?model:string -> string -> Aig.t -> unit
 
 exception Parse_error of string
 

@@ -11,12 +11,6 @@ type t = {
 let make ~severity ~code ~time fmt =
   Format.kasprintf (fun message -> { severity; code; time; message }) fmt
 
-let to_diag e =
-  match e.severity with
-  | Diag.Error -> Diag.error ~code:e.code ~loc:Diag.Global "%s" e.message
-  | Diag.Warn -> Diag.warn ~code:e.code ~loc:Diag.Global "%s" e.message
-  | Diag.Info -> Diag.info ~code:e.code ~loc:Diag.Global "%s" e.message
-
 let to_json e =
   J.Obj
     [

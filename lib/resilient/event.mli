@@ -23,10 +23,6 @@ val make :
   ('a, Format.formatter, unit, t) format4 ->
   'a
 
-val to_diag : t -> Check.Diag.t
-(** Same severity/code/message with a [Global] location — for merging
-    supervision events into a {!Check.Diag} report. *)
-
 val to_json : t -> Rdca_json.Jsonout.t
 
 val pp : Format.formatter -> t -> unit

@@ -287,8 +287,6 @@ let random_spec ~rng ~ni ~no ~f1 ~f0 =
   done;
   s
 
-let measured_cf spec = Reliability.Borders.mean_complexity_factor spec
-
 (* ------------------------------------------------------------------ *)
 (* Cover-level generation: the n > 20 regime, where specs are cube
    lists rather than tables.  Each cube fixes every variable with

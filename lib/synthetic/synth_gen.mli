@@ -37,10 +37,6 @@ val spec : rng:Random.State.t -> no:int -> params -> Pla.Spec.t
 val random_spec :
   rng:Random.State.t -> ni:int -> no:int -> f1:float -> f0:float -> Pla.Spec.t
 
-(** [measured_cf spec] is the mean complexity factor, re-exported for
-    convenience. *)
-val measured_cf : Pla.Spec.t -> float
-
 (** {1 Cover-level generation — the n > 20 regime}
 
     Cube-list specifications for sizes the dense table cannot hold,

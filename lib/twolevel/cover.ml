@@ -27,129 +27,6 @@ let of_bv ~n bv =
   in
   { n; cubes = List.rev cubes }
 
-let cofactor t c =
-  let cubes = List.filter_map (fun d -> Cube.cofactor ~n:t.n d c) t.cubes in
-  { n = t.n; cubes }
-
-(* Phase-occurrence counts per variable: (zeros, ones). *)
-let phase_counts t =
-  let zeros = Array.make t.n 0 and ones = Array.make t.n 0 in
-  List.iter
-    (fun c ->
-      for j = 0 to t.n - 1 do
-        match Cube.get c j with
-        | Cube.Zero -> zeros.(j) <- zeros.(j) + 1
-        | Cube.One -> ones.(j) <- ones.(j) + 1
-        | Cube.Free -> ()
-      done)
-    t.cubes;
-  (zeros, ones)
-
-let most_binate_var t =
-  let zeros, ones = phase_counts t in
-  let best = ref None in
-  for j = 0 to t.n - 1 do
-    if zeros.(j) > 0 && ones.(j) > 0 then begin
-      let total = zeros.(j) + ones.(j) in
-      let balance = abs (zeros.(j) - ones.(j)) in
-      let key = (total, -balance) in
-      match !best with
-      | Some (k, _) when k >= key -> ()
-      | _ -> best := Some (key, j)
-    end
-  done;
-  Option.map snd !best
-
-let is_unate t = most_binate_var t = None
-
-let has_full_cube t =
-  List.exists (fun c -> Cube.free_count ~n:t.n c = t.n) t.cubes
-
-(* Unate-recursive tautology.  A unate cover is a tautology iff it
-   contains the full cube. *)
-let rec is_tautology t =
-  if t.cubes = [] then false
-  else if has_full_cube t then true
-  else
-    (* Quick refutation: some variable appears in only one phase in
-       every cube that mentions it -> the opposite phase minterms need
-       a free cube in that variable; handled by the unate check. *)
-    match most_binate_var t with
-    | None -> false (* unate, no full cube *)
-    | Some j ->
-        let c0 = Cube.set (Cube.full ~n:t.n) j Cube.Zero in
-        let c1 = Cube.set (Cube.full ~n:t.n) j Cube.One in
-        is_tautology (cofactor t c0) && is_tautology (cofactor t c1)
-
-let contains_cube t c = is_tautology (cofactor t c)
-
-let contains_cover a b = List.for_all (contains_cube a) b.cubes
-
-(* Unate-recursive complementation. *)
-let rec complement t =
-  if t.cubes = [] then universe ~n:t.n
-  else if has_full_cube t then empty ~n:t.n
-  else
-    match t.cubes with
-    | [ c ] -> { n = t.n; cubes = Cube.complement_lits ~n:t.n c }
-    | _ -> (
-        match most_binate_var t with
-        | Some j -> complement_split t j
-        | None -> (
-            (* Unate cover with more than one cube: split on any
-               specific variable to keep recursion simple. *)
-            match first_specific_var t with
-            | Some j -> complement_split t j
-            | None -> empty ~n:t.n (* all cubes full: handled above *)))
-
-and first_specific_var t =
-  let rec go = function
-    | [] -> None
-    | c :: rest ->
-        let rec find j =
-          if j >= t.n then None
-          else if Cube.get c j <> Cube.Free then Some j
-          else find (j + 1)
-        in
-        (match find 0 with Some j -> Some j | None -> go rest)
-  in
-  go t.cubes
-
-and complement_split t j =
-  let c0 = Cube.set (Cube.full ~n:t.n) j Cube.Zero in
-  let c1 = Cube.set (Cube.full ~n:t.n) j Cube.One in
-  let f0 = complement (cofactor t c0) in
-  let f1 = complement (cofactor t c1) in
-  let and_lit lit cover =
-    List.filter_map (fun c -> Cube.intersect c lit) cover.cubes
-  in
-  { n = t.n; cubes = and_lit c0 f0 @ and_lit c1 f1 }
-
-let sharp t c =
-  let nc = { n = t.n; cubes = Cube.complement_lits ~n:t.n c } in
-  let cubes =
-    List.concat_map
-      (fun d ->
-        List.filter_map (fun e -> Cube.intersect d e) nc.cubes)
-      t.cubes
-  in
-  { n = t.n; cubes }
-
-let intersect a b =
-  if a.n <> b.n then invalid_arg "Cover.intersect: arity mismatch";
-  let cubes =
-    List.concat_map
-      (fun c -> List.filter_map (fun d -> Cube.intersect c d) b.cubes)
-      a.cubes
-  in
-  { n = a.n; cubes }
-
-let union a b =
-  if a.n <> b.n then invalid_arg "Cover.union: arity mismatch";
-  { n = a.n; cubes = a.cubes @ b.cubes }
-
-let equivalent a b = contains_cover a b && contains_cover b a
-
 let single_cube_containment t =
   let arr = Array.of_list t.cubes in
   let keep = Array.make (Array.length arr) true in
@@ -168,23 +45,6 @@ let single_cube_containment t =
     |> List.filteri (fun i _ -> keep.(i))
   in
   { n = t.n; cubes }
-
-(* Cofactoring by a literal frees that variable in every surviving
-   cube, so the cofactor's minterm count double-counts by exactly 2;
-   halving each side gives the two disjoint half-space counts. *)
-let rec cardinality t =
-  if t.cubes = [] then 0
-  else if has_full_cube t then Bitvec.Minterm.space_size t.n
-  else if t.n <= 24 then Bitvec.Bv.cardinal (to_bv t)
-  else
-    let j =
-      match most_binate_var t with
-      | Some j -> j
-      | None -> Option.get (first_specific_var t)
-    in
-    let c0 = Cube.set (Cube.full ~n:t.n) j Cube.Zero in
-    let c1 = Cube.set (Cube.full ~n:t.n) j Cube.One in
-    (cardinality (cofactor t c0) / 2) + (cardinality (cofactor t c1) / 2)
 
 let pp ppf t =
   List.iter

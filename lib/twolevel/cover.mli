@@ -1,9 +1,10 @@
 (** Covers: sets of cubes representing single-output Boolean functions.
 
     A cover is the OR of its cubes over a fixed input count [n].  This
-    module provides the classical unate-recursive operations (tautology,
-    complement, sharp, containment) that the espresso-style minimiser
-    and the conventional-DC-assignment path are built on. *)
+    module holds covers as data: construction, evaluation, dense
+    conversion and the single-cube-containment filter.  Coverage
+    questions are answered densely: over {!to_bv} bit-vectors here,
+    and by per-minterm cover counts inside the espresso minimisers. *)
 
 type t
 
@@ -38,53 +39,9 @@ val to_bv : t -> Bitvec.Bv.t
 (** [of_bv ~n bv] is the cover with one cube per set minterm. *)
 val of_bv : n:int -> Bitvec.Bv.t -> t
 
-(** [cardinality t] is the number of minterms covered (inclusion-
-    exclusion-free: computed by dense expansion for [n <= 24], by
-    recursive splitting otherwise). *)
-val cardinality : t -> int
-
-(** [is_tautology t] decides whether [t] covers the whole space, by
-    the unate-recursive paradigm. *)
-val is_tautology : t -> bool
-
-(** [contains_cube t c] decides whether cube [c] is covered by [t]
-    (tautology of the cofactor [t/c]). *)
-val contains_cube : t -> Cube.t -> bool
-
-(** [contains_cover a b] decides whether every minterm of [b] is in [a]. *)
-val contains_cover : t -> t -> bool
-
-(** [equivalent a b] decides functional equality. *)
-val equivalent : t -> t -> bool
-
-(** [cofactor t c] is the cover cofactor t/c. *)
-val cofactor : t -> Cube.t -> t
-
-(** [complement t] is a cover of the complement function, computed by
-    unate-recursive complementation. *)
-val complement : t -> t
-
-(** [sharp t c] is the cover of [t AND NOT c]. *)
-val sharp : t -> Cube.t -> t
-
-(** [intersect a b] covers the AND of the two functions. *)
-val intersect : t -> t -> t
-
-(** [union a b] concatenates cube lists. *)
-val union : t -> t -> t
-
 (** [single_cube_containment t] removes every cube contained in another
     single cube of [t] (espresso's SCC filter). *)
 val single_cube_containment : t -> t
-
-(** [most_binate_var t] is the splitting variable chosen by the unate-
-    recursive paradigm: the variable appearing in the most cubes in
-    both phases, ties broken toward balanced phase counts; [None] when
-    the cover is unate (no variable appears in both phases). *)
-val most_binate_var : t -> int option
-
-(** [is_unate t] is [true] when no variable appears in both phases. *)
-val is_unate : t -> bool
 
 (** [pp] prints one cube per line in .pla style. *)
 val pp : Format.formatter -> t -> unit

@@ -69,22 +69,9 @@ let intersect a b =
   let valid = (a.m0 lor a.m1) land (b.m0 lor b.m1) in
   if m0 lor m1 = valid then Some { m0; m1 } else None
 
-let distance ~n a b =
-  let m0 = a.m0 land b.m0 and m1 = a.m1 land b.m1 in
-  let empty = lnot (m0 lor m1) land range_mask n in
-  Bitvec.Minterm.popcount empty
-
 let supercube a b = { m0 = a.m0 lor b.m0; m1 = a.m1 lor b.m1 }
 
-let cofactor ~n a c =
-  if distance ~n a c > 0 then None
-  else
-    let spec = c.m0 lxor c.m1 in
-    Some { m0 = a.m0 lor spec; m1 = a.m1 lor spec }
-
 let free_count ~n c = Bitvec.Minterm.popcount (c.m0 land c.m1 land range_mask n)
-
-let minterm_count ~n c = 1 lsl free_count ~n c
 
 let iter_minterms ~n f c =
   let free = c.m0 land c.m1 land range_mask n in
@@ -95,18 +82,6 @@ let iter_minterms ~n f c =
     if sub = 0 then () else go ((sub - 1) land free)
   in
   go free
-
-let complement_lits ~n c =
-  let fullc = full ~n in
-  let rec go j acc =
-    if j >= n then acc
-    else
-      match get c j with
-      | Free -> go (j + 1) acc
-      | Zero -> go (j + 1) (set fullc j One :: acc)
-      | One -> go (j + 1) (set fullc j Zero :: acc)
-  in
-  go 0 []
 
 let to_string ~n c =
   String.init n (fun j ->

@@ -55,30 +55,14 @@ val subsumes : t -> t -> bool
 (** [intersect a b] is the cube intersection, or [None] if empty. *)
 val intersect : t -> t -> t option
 
-(** [distance ~n a b] is the number of variables on which [a] and [b]
-    have empty literal intersection (0 means they intersect). *)
-val distance : n:int -> t -> t -> int
-
 (** [supercube a b] is the smallest cube containing both. *)
 val supercube : t -> t -> t
-
-(** [cofactor ~n a c] is the cofactor a/c of the Shannon-expansion
-    style used by the unate-recursive paradigm, or [None] when [a] and
-    [c] do not intersect. *)
-val cofactor : n:int -> t -> t -> t option
 
 (** [free_count ~n c] is the number of [Free] literals. *)
 val free_count : n:int -> t -> int
 
-(** [minterm_count ~n c] is [2^(free_count c)]. *)
-val minterm_count : n:int -> t -> int
-
 (** [iter_minterms ~n f c] applies [f] to every minterm of [c]. *)
 val iter_minterms : n:int -> (int -> unit) -> t -> unit
-
-(** [complement_lits ~n c] is the list of cubes covering exactly the
-    complement of [c] (one cube per specific literal; De Morgan). *)
-val complement_lits : n:int -> t -> t list
 
 (** [to_string ~n c] renders in .pla style ('0', '1', '-'), variable 0
     leftmost; [of_string] parses it back. *)

@@ -275,53 +275,3 @@ let suite =
       QCheck_alcotest.to_alcotest prop_netlist_equiv;
       QCheck_alcotest.to_alcotest prop_cut_functions;
     ] )
-
-(* Global refactor through BDD/ISOP. *)
-
-let test_refactor_redundant_logic () =
-  (* Build a deliberately redundant AIG: f = (a&b) | (a&b&c) | (a&b&!c)
-     collapses to a&b. *)
-  let t = Aig.create ~ni:3 in
-  let a = Aig.input t 0 and b = Aig.input t 1 and c = Aig.input t 2 in
-  let ab = Aig.land_ t a b in
-  let abc = Aig.land_ t ab c in
-  let abnc = Aig.land_ t ab (Aig.lnot c) in
-  let f = Aig.lor_ t ab (Aig.lor_ t abc abnc) in
-  Aig.set_outputs t [| f |];
-  let t' = Aig.Opt.refactor_global t in
-  check "fewer nodes" true (Aig.num_ands t' < Aig.num_ands t);
-  for m = 0 to 7 do
-    check
-      (Printf.sprintf "refactor m=%d" m)
-      true
-      (Aig.eval_minterm t m = Aig.eval_minterm t' m)
-  done
-
-let prop_refactor_equiv =
-  QCheck.Test.make ~name:"refactor_global preserves all outputs" ~count:60
-    QCheck.(pair (arb_cover 5) (arb_cover 5))
-    (fun (c0, c1) ->
-      let t = Aig.of_covers ~ni:5 [ c0; c1 ] in
-      let t' = Aig.Opt.refactor_global t in
-      let ok = ref true in
-      for m = 0 to 31 do
-        if Aig.eval_minterm t m <> Aig.eval_minterm t' m then ok := false
-      done;
-      !ok)
-
-let prop_refactor_never_grows =
-  QCheck.Test.make ~name:"refactor_global never grows the live AIG" ~count:60
-    (arb_cover 5) (fun c0 ->
-      let t = Aig.of_covers ~ni:5 [ c0 ] in
-      let t' = Aig.Opt.refactor_global t in
-      Aig.num_ands (Aig.Opt.cleanup t') <= Aig.num_ands (Aig.Opt.cleanup t))
-
-let refactor_cases =
-  [
-    Alcotest.test_case "refactor collapses redundancy" `Quick
-      test_refactor_redundant_logic;
-    QCheck_alcotest.to_alcotest prop_refactor_equiv;
-    QCheck_alcotest.to_alcotest prop_refactor_never_grows;
-  ]
-
-let suite = (fst suite, snd suite @ refactor_cases)

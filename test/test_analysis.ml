@@ -268,7 +268,7 @@ let test_backend_names () =
     ~all:Rdca_dc.Dc.[ Auto; Sat_engine; Bdd_engine; Differential ]
     ~name:Rdca_dc.Dc.backend_name ();
   check_name_table "atpg" Atpg.Engine.backends
-    ~all:Atpg.Engine.[ Auto; Sat_engine; Exhaustive; Bdd_engine; Differential ]
+    ~all:Atpg.Engine.[ Auto; Sat_engine; Exhaustive; Differential ]
     ~name:Atpg.Engine.backend_name ();
   check_name_table "equiv" Check.Netlist_check.equiv_engines
     ~all:Check.Netlist_check.[ Auto; Exhaustive; Bdd_backed ]

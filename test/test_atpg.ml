@@ -14,13 +14,7 @@ let check_int = Alcotest.(check int)
 
 let config backend = { Engine.default_config with Engine.backend }
 
-let all_backends =
-  [
-    Engine.Sat_engine;
-    Engine.Exhaustive;
-    Engine.Bdd_engine;
-    Engine.Differential;
-  ]
+let all_backends = [ Engine.Sat_engine; Engine.Exhaustive; Engine.Differential ]
 
 (* Single 2-input AND driving the output: six faults (stem and two
    branches, both polarities); equivalence merges the three s-a-0s;
@@ -118,6 +112,23 @@ let test_witness_detects () =
           check "witness separates good from faulty" true (good <> bad)
       | _ -> ())
     r.Engine.results
+
+(* Differential compares SAT with exhaustive simulation, so a netlist
+   past the exhaustive engine's 20 inputs is refused exactly as a
+   forced Exhaustive is. *)
+let test_differential_refuses_wide () =
+  let nl = Netlist.create ~ni:21 in
+  let a = Netlist.add nl Netlist.Gate.And [| 0; 20 |] in
+  Netlist.set_outputs nl [| a |];
+  let refusal backend =
+    match Engine.analyze ~config:(config backend) nl with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  let exhaustive = refusal Engine.Exhaustive in
+  check "exhaustive refuses" true (exhaustive <> None);
+  check "differential refuses the same way" true
+    (refusal Engine.Differential = exhaustive)
 
 let test_remove_absorption () =
   let nl, _, _ = absorption () in
@@ -259,6 +270,8 @@ let suite =
       Alcotest.test_case "untestable absorption" `Quick
         test_untestable_absorption;
       Alcotest.test_case "witness detects" `Quick test_witness_detects;
+      Alcotest.test_case "differential refuses 21 inputs" `Quick
+        test_differential_refuses_wide;
       Alcotest.test_case "remove absorption" `Quick test_remove_absorption;
       Alcotest.test_case "inadmissible const output" `Quick
         test_inadmissible_const_output;

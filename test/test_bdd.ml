@@ -83,14 +83,6 @@ let test_satcount () =
   let g = Bdd.bxor m (Bdd.var m 0) (Bdd.var m 1) in
   check_int "count xor" 8 (Bdd.satcount m g)
 
-let test_any_sat () =
-  let m = Bdd.make_man ~nvars:3 in
-  check "zero has none" true (Bdd.any_sat m (Bdd.zero m) = None);
-  let f = Bdd.band m (Bdd.var m 0) (Bdd.bnot m (Bdd.var m 2)) in
-  (match Bdd.any_sat m f with
-  | Some mt -> check "witness satisfies" true (Bdd.eval_minterm m f mt)
-  | None -> Alcotest.fail "expected a witness")
-
 let test_support_size () =
   let m = Bdd.make_man ~nvars:5 in
   let f = Bdd.band m (Bdd.var m 1) (Bdd.bor m (Bdd.var m 3) (Bdd.var m 4)) in
@@ -107,9 +99,7 @@ let test_cover_conversion () =
       (Printf.sprintf "of_cover m=%d" mt)
       (Cover.eval cover mt)
       (Bdd.eval_minterm m f mt)
-  done;
-  let back = Bdd.to_cover m f in
-  check "to_cover equivalent" true (Cover.equivalent cover back)
+  done
 
 let test_bv_conversion () =
   let m = Bdd.make_man ~nvars:4 in
@@ -158,22 +148,16 @@ let prop_satcount =
   QCheck.Test.make ~name:"satcount = cover cardinality" ~count:150
     (arb_cover 6) (fun cover ->
       let m = Bdd.make_man ~nvars:6 in
-      Bdd.satcount m (Bdd.of_cover m cover) = Cover.cardinality cover)
+      Bdd.satcount m (Bdd.of_cover m cover)
+      = Bv.cardinal (Cover.to_bv cover))
 
 let prop_complement_cover =
-  QCheck.Test.make ~name:"bnot agrees with Cover.complement" ~count:100
+  QCheck.Test.make ~name:"bnot agrees with Bv.complement" ~count:100
     (arb_cover 5) (fun cover ->
       let m = Bdd.make_man ~nvars:5 in
-      Bdd.equal
-        (Bdd.bnot m (Bdd.of_cover m cover))
-        (Bdd.of_cover m (Cover.complement cover)))
-
-let prop_to_cover_roundtrip =
-  QCheck.Test.make ~name:"to_cover/of_cover roundtrip" ~count:100
-    (arb_cover 5) (fun cover ->
-      let m = Bdd.make_man ~nvars:5 in
-      let f = Bdd.of_cover m cover in
-      Bdd.equal f (Bdd.of_cover m (Bdd.to_cover m f)))
+      Bv.equal
+        (Bdd.to_bv m (Bdd.bnot m (Bdd.of_cover m cover)))
+        (Bv.complement (Cover.to_bv cover)))
 
 (* Bdd.of_gate is the only gate-to-BDD translation, so it gets its own
    oracle: every gate kind over fanins that are BDD variables (in a
@@ -247,7 +231,6 @@ let suite =
       Alcotest.test_case "restrict" `Quick test_restrict;
       Alcotest.test_case "quantification" `Quick test_quantification;
       Alcotest.test_case "satcount" `Quick test_satcount;
-      Alcotest.test_case "any_sat" `Quick test_any_sat;
       Alcotest.test_case "support and size" `Quick test_support_size;
       Alcotest.test_case "cover conversion" `Quick test_cover_conversion;
       Alcotest.test_case "bv conversion" `Quick test_bv_conversion;
@@ -255,103 +238,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_of_cover_semantics;
       QCheck_alcotest.to_alcotest prop_satcount;
       QCheck_alcotest.to_alcotest prop_complement_cover;
-      QCheck_alcotest.to_alcotest prop_to_cover_roundtrip;
       QCheck_alcotest.to_alcotest prop_of_gate_semantics;
       Alcotest.test_case "of_gate rejects Input" `Quick
         test_of_gate_rejects_input;
     ] )
-
-(* Variable reordering. *)
-
-let test_convert_identity () =
-  let m = Bdd.make_man ~nvars:4 in
-  let f = Bdd.bor m (Bdd.band m (Bdd.var m 0) (Bdd.var m 1)) (Bdd.var m 3) in
-  let order = [| 0; 1; 2; 3 |] in
-  let m', fs = Bdd.convert_with_order m [ f ] ~order in
-  let f' = List.hd fs in
-  for mt = 0 to 15 do
-    check
-      (Printf.sprintf "identity m=%d" mt)
-      (Bdd.eval_minterm m f mt)
-      (Bdd.eval_reordered m' f' ~order mt)
-  done
-
-let test_convert_reversal () =
-  let m = Bdd.make_man ~nvars:3 in
-  let f = Bdd.bxor m (Bdd.var m 0) (Bdd.band m (Bdd.var m 1) (Bdd.var m 2)) in
-  let order = [| 2; 1; 0 |] in
-  let m', fs = Bdd.convert_with_order m [ f ] ~order in
-  let f' = List.hd fs in
-  for mt = 0 to 7 do
-    check
-      (Printf.sprintf "reversed m=%d" mt)
-      (Bdd.eval_minterm m f mt)
-      (Bdd.eval_reordered m' f' ~order mt)
-  done
-
-let test_sift_order_sensitive_function () =
-  (* f = x0 x3 + x1 x4 + x2 x5 : interleaved order (x0 x3 x1 x4 x2 x5)
-     is exponentially worse than the paired order.  Build it in the
-     BAD order (variables as given are the bad interleaving when named
-     v0..v5 = x0 x1 x2 x3 x4 x5 with pairs (0,3)(1,4)(2,5)). *)
-  let m = Bdd.make_man ~nvars:6 in
-  let pair a b = Bdd.band m (Bdd.var m a) (Bdd.var m b) in
-  let f = Bdd.bor m (Bdd.bor m (pair 0 3) (pair 1 4)) (pair 2 5) in
-  let before = Bdd.size m f in
-  let m', fs, order = Bdd.sift m [ f ] in
-  let f' = List.hd fs in
-  let after = Bdd.size_many m' [ f' ] in
-  check "sifting shrinks the disjoint-pairs function" true (after < before);
-  (* function preserved under the order mapping *)
-  for mt = 0 to 63 do
-    check
-      (Printf.sprintf "sift m=%d" mt)
-      (Bdd.eval_minterm m f mt)
-      (Bdd.eval_reordered m' f' ~order mt)
-  done
-
-let test_size_many_shares () =
-  let m = Bdd.make_man ~nvars:3 in
-  let a = Bdd.band m (Bdd.var m 0) (Bdd.var m 1) in
-  let b = Bdd.bor m a (Bdd.var m 2) in
-  check "shared counting <= sum" true
-    (Bdd.size_many m [ a; b ] <= Bdd.size m a + Bdd.size m b)
-
-let prop_sift_preserves =
-  QCheck.Test.make ~name:"sifting preserves functions" ~count:40 (arb_cover 5)
-    (fun cover ->
-      let m = Bdd.make_man ~nvars:5 in
-      let f = Bdd.of_cover m cover in
-      let m', fs, order = Bdd.sift m [ f ] in
-      let f' = List.hd fs in
-      let ok = ref true in
-      for mt = 0 to 31 do
-        if Bdd.eval_minterm m f mt <> Bdd.eval_reordered m' f' ~order mt then
-          ok := false
-      done;
-      !ok)
-
-let prop_sift_never_grows =
-  QCheck.Test.make ~name:"sifting never grows the node count" ~count:40
-    (arb_cover 5) (fun cover ->
-      let m = Bdd.make_man ~nvars:5 in
-      let f = Bdd.of_cover m cover in
-      let before = Bdd.size_many m [ f ] in
-      let m', fs, _ = Bdd.sift m [ f ] in
-      Bdd.size_many m' fs <= before)
-
-let reorder_cases =
-  [
-    Alcotest.test_case "convert identity order" `Quick test_convert_identity;
-    Alcotest.test_case "convert reversal" `Quick test_convert_reversal;
-    Alcotest.test_case "sifting shrinks pair function" `Quick
-      test_sift_order_sensitive_function;
-    Alcotest.test_case "size_many shares" `Quick test_size_many_shares;
-    QCheck_alcotest.to_alcotest prop_sift_preserves;
-    QCheck_alcotest.to_alcotest prop_sift_never_grows;
-  ]
-
-let suite = (fst suite, snd suite @ reorder_cases)
 
 (* ISOP extraction. *)
 

@@ -240,10 +240,7 @@ let test_cover_redundancy_warnings () =
   let diags = CC.check_cover ~spec:s ~o:0 cover in
   check "no errors" false (Diag.has_errors diags);
   check "contained-cube warn" true (warn_with "contained-cube" diags);
-  check "redundant-cube warn" true (warn_with "redundant-cube" diags);
-  check "redundancy pass can be disabled" false
-    (has_code "contained-cube"
-       (CC.check_cover ~include_redundancy:false ~spec:s ~o:0 cover))
+  check "redundant-cube warn" true (warn_with "redundant-cube" diags)
 
 let test_coverage_counts_engines_agree () =
   let rng = Random.State.make [| 4242 |] in
@@ -409,13 +406,6 @@ let test_equiv_arity_mismatch () =
   check "input arity mismatch" true
     (error_with "arity-mismatch" (NC.equiv_spec ~spec:s nl))
 
-let test_aig_graph () =
-  let aig = Aig.create ~ni:2 in
-  let x = Aig.land_ aig (Aig.input aig 0) (Aig.input aig 1) in
-  Aig.set_outputs aig [| x |];
-  let diags = NC.check_aig aig in
-  check "clean AIG has no errors" false (Diag.has_errors diags)
-
 (* ------------------------------------------------------------------ *)
 (* Flow integration *)
 
@@ -470,8 +460,7 @@ let test_synthesize_audit_clean () =
     (fun strategy ->
       let r = Flow.synthesize ~mode:Techmap.Mapper.Delay ~strategy spec in
       let diags =
-        Check.implementation ~include_redundancy:true ~spec
-          ~covers:r.Flow.covers r.Flow.netlist
+        Check.implementation ~spec ~covers:r.Flow.covers r.Flow.netlist
       in
       check "no error diagnostics" false (Diag.has_errors diags);
       check "covers ride along" true (List.length r.Flow.covers = 3))
@@ -604,7 +593,6 @@ let suite =
       Alcotest.test_case "equiv respects DC" `Quick test_equiv_respects_dc;
       Alcotest.test_case "equiv arity mismatch" `Quick
         test_equiv_arity_mismatch;
-      Alcotest.test_case "aig graph" `Quick test_aig_graph;
       Alcotest.test_case "flow refuses overlap" `Quick test_flow_refuses_overlap;
       Alcotest.test_case "flow load_source lints" `Quick
         test_flow_load_source_lints;

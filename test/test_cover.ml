@@ -23,69 +23,18 @@ let test_to_bv_roundtrip () =
     check (Printf.sprintf "bv m=%d" m) (Cover.eval f m) (Bv.get bv m)
   done;
   let f2 = Cover.of_bv ~n:4 bv in
-  check "of_bv equivalent" true (Cover.equivalent f f2)
-
-let test_cardinality () =
-  check_int "two disjoint cubes" 5 (Cover.cardinality (cov 3 [ "1--"; "011" ]));
-  check_int "overlapping" 4 (Cover.cardinality (cov 3 [ "1--"; "1-0" ]));
-  check_int "empty" 0 (Cover.cardinality (Cover.empty ~n:3));
-  check_int "universe" 8 (Cover.cardinality (Cover.universe ~n:3))
-
-let test_tautology () =
-  check "universe" true (Cover.is_tautology (Cover.universe ~n:4));
-  check "empty" false (Cover.is_tautology (Cover.empty ~n:4));
-  check "x + x'" true (Cover.is_tautology (cov 2 [ "1-"; "0-" ]));
-  check "x + y" false (Cover.is_tautology (cov 2 [ "1-"; "-1" ]));
-  check "xor cover of 2" false (Cover.is_tautology (cov 2 [ "10"; "01" ]));
-  check "full 2-var disjoint minterms" true
-    (Cover.is_tautology (cov 2 [ "00"; "01"; "10"; "11" ]))
-
-let test_contains_cube () =
-  let f = cov 3 [ "1--"; "-1-" ] in
-  check "covered split across cubes" true (Cover.contains_cube f (Cube.of_string "11-"));
-  check "covered by union" true (Cover.contains_cube f (Cube.of_string "1-0"));
-  check "not covered" false (Cover.contains_cube f (Cube.of_string "--1"));
-  (* the classic case needing real tautology, not single-cube checks *)
-  let g = cov 2 [ "1-"; "01" ] in
-  check "0-1 branch" false (Cover.contains_cube g (Cube.of_string "--"));
-  check "consensus coverage" true (Cover.contains_cube g (Cube.of_string "-1"))
-
-let test_complement () =
-  let f = cov 3 [ "1--"; "-11" ] in
-  let fc = Cover.complement f in
-  for m = 0 to 7 do
-    check (Printf.sprintf "complement m=%d" m) (not (Cover.eval f m))
-      (Cover.eval fc m)
-  done;
-  check "complement of empty" true
-    (Cover.is_tautology (Cover.complement (Cover.empty ~n:3)));
-  check_int "complement of universe" 0
-    (Cover.size (Cover.complement (Cover.universe ~n:3)))
-
-let test_sharp () =
-  let f = cov 3 [ "---" ] in
-  let s = Cover.sharp f (Cube.of_string "1--") in
-  for m = 0 to 7 do
-    check (Printf.sprintf "sharp m=%d" m) (m land 1 = 0) (Cover.eval s m)
-  done
+  check "of_bv equivalent" true (Bv.equal bv (Cover.to_bv f2))
 
 let test_scc () =
   let f = cov 3 [ "1--"; "11-"; "111"; "0--" ] in
   let r = Cover.single_cube_containment f in
   check_int "kept cubes" 2 (Cover.size r);
-  check "still equivalent" true (Cover.equivalent f r)
+  check "still equivalent" true (Bv.equal (Cover.to_bv f) (Cover.to_bv r))
 
 let test_scc_duplicates () =
   let f = cov 2 [ "1-"; "1-"; "1-" ] in
   let r = Cover.single_cube_containment f in
   check_int "dedup" 1 (Cover.size r)
-
-let test_unate () =
-  check "unate cover" true (Cover.is_unate (cov 3 [ "1--"; "-1-"; "11-" ]));
-  check "binate cover" false (Cover.is_unate (cov 3 [ "1--"; "0-1" ]));
-  Alcotest.(check (option int))
-    "most binate var" (Some 0)
-    (Cover.most_binate_var (cov 3 [ "1--"; "0-1"; "1-0" ]))
 
 let test_literal_count () =
   check_int "literals" 4 (Cover.literal_count (cov 3 [ "1--"; "011" ]))
@@ -111,73 +60,18 @@ let semantically_equal n a b =
   done;
   !ok
 
-let prop_complement_semantics =
-  QCheck.Test.make ~name:"complement flips every minterm" ~count:200
-    (arb_cover 5) (fun f ->
-      let fc = Cover.complement f in
-      let ok = ref true in
-      for m = 0 to 31 do
-        if Cover.eval fc m = Cover.eval f m then ok := false
-      done;
-      !ok)
-
-let prop_tautology_semantics =
-  QCheck.Test.make ~name:"is_tautology agrees with enumeration" ~count:200
-    (arb_cover 5) (fun f ->
-      let taut = ref true in
-      for m = 0 to 31 do
-        if not (Cover.eval f m) then taut := false
-      done;
-      Cover.is_tautology f = !taut)
-
-let prop_cardinality_semantics =
-  QCheck.Test.make ~name:"cardinality agrees with enumeration" ~count:200
-    (arb_cover 5) (fun f ->
-      let cnt = ref 0 in
-      for m = 0 to 31 do
-        if Cover.eval f m then incr cnt
-      done;
-      Cover.cardinality f = !cnt)
-
-let prop_union_intersect =
-  QCheck.Test.make ~name:"intersect is pointwise AND" ~count:200
-    QCheck.(pair (arb_cover 5) (arb_cover 5))
-    (fun (a, b) ->
-      let i = Cover.intersect a b in
-      let ok = ref true in
-      for m = 0 to 31 do
-        if Cover.eval i m <> (Cover.eval a m && Cover.eval b m) then ok := false
-      done;
-      !ok)
-
 let prop_scc_preserves =
   QCheck.Test.make ~name:"single_cube_containment preserves function"
     ~count:200 (arb_cover 5) (fun f ->
       semantically_equal 5 f (Cover.single_cube_containment f))
-
-let prop_double_complement =
-  QCheck.Test.make ~name:"double complement is identity (semantically)"
-    ~count:100 (arb_cover 5) (fun f ->
-      semantically_equal 5 f (Cover.complement (Cover.complement f)))
 
 let suite =
   ( "cover",
     [
       Alcotest.test_case "eval" `Quick test_eval;
       Alcotest.test_case "to_bv roundtrip" `Quick test_to_bv_roundtrip;
-      Alcotest.test_case "cardinality" `Quick test_cardinality;
-      Alcotest.test_case "tautology" `Quick test_tautology;
-      Alcotest.test_case "contains_cube" `Quick test_contains_cube;
-      Alcotest.test_case "complement" `Quick test_complement;
-      Alcotest.test_case "sharp" `Quick test_sharp;
       Alcotest.test_case "single cube containment" `Quick test_scc;
       Alcotest.test_case "scc dedup" `Quick test_scc_duplicates;
-      Alcotest.test_case "unate detection" `Quick test_unate;
       Alcotest.test_case "literal count" `Quick test_literal_count;
-      QCheck_alcotest.to_alcotest prop_complement_semantics;
-      QCheck_alcotest.to_alcotest prop_tautology_semantics;
-      QCheck_alcotest.to_alcotest prop_cardinality_semantics;
-      QCheck_alcotest.to_alcotest prop_union_intersect;
       QCheck_alcotest.to_alcotest prop_scc_preserves;
-      QCheck_alcotest.to_alcotest prop_double_complement;
     ] )

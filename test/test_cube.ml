@@ -48,47 +48,19 @@ let test_intersect () =
   | None -> Alcotest.fail "expected intersection");
   check "empty" true (Cube.intersect (c "1--") (c "0--") = None)
 
-let test_distance () =
-  check_int "distance 0" 0 (Cube.distance ~n:3 (c "1--") (c "-0-"));
-  check_int "distance 1" 1 (Cube.distance ~n:3 (c "1--") (c "0--"));
-  check_int "distance 3" 3 (Cube.distance ~n:3 (c "111") (c "000"))
-
 let test_supercube () =
   check_str "supercube" "-1-"
     (Cube.to_string ~n:3 (Cube.supercube (c "010") (c "11-")))
 
-let test_cofactor () =
-  (* a = 1-0, c = 1-- : cofactor frees variable 0. *)
-  (match Cube.cofactor ~n:3 (c "1-0") (c "1--") with
-  | Some x -> check_str "cofactor" "--0" (Cube.to_string ~n:3 x)
-  | None -> Alcotest.fail "expected cofactor");
-  check "distance > 0 -> None" true (Cube.cofactor ~n:3 (c "1--") (c "0--") = None)
-
 let test_counts () =
   check_int "free_count" 2 (Cube.free_count ~n:4 (c "1--0"));
-  check_int "minterm_count" 4 (Cube.minterm_count ~n:4 (c "1--0"));
-  check_int "minterm full" 16 (Cube.minterm_count ~n:4 (Cube.full ~n:4))
+  check_int "free_count full" 4 (Cube.free_count ~n:4 (Cube.full ~n:4))
 
 let test_iter_minterms () =
   let seen = ref [] in
   Cube.iter_minterms ~n:3 (fun m -> seen := m :: !seen) (c "1-0");
   let seen = List.sort compare !seen in
   Alcotest.(check (list int)) "minterms of 1-0" [ 0b001; 0b011 ] seen
-
-let test_complement_lits () =
-  let parts = Cube.complement_lits ~n:3 (c "10-") in
-  check_int "two parts" 2 (List.length parts);
-  (* Union of parts plus original = whole space, all disjoint from cube. *)
-  let covered = Array.make 8 false in
-  List.iter
-    (fun p ->
-      Cube.iter_minterms ~n:3 (fun m ->
-          check "disjoint from cube" false (Cube.contains_minterm (c "10-") m);
-          covered.(m) <- true)
-        p)
-    parts;
-  Cube.iter_minterms ~n:3 (fun m -> covered.(m) <- true) (c "10-");
-  Array.iteri (fun m v -> check (Printf.sprintf "minterm %d covered" m) true v) covered
 
 let gen_cube n =
   QCheck.Gen.(
@@ -139,13 +111,6 @@ let prop_string_roundtrip =
   QCheck.Test.make ~name:"cube string roundtrip" ~count:300 (arb_cube 8)
     (fun cb -> Cube.equal cb (Cube.of_string (Cube.to_string ~n:8 cb)))
 
-let prop_minterm_count =
-  QCheck.Test.make ~name:"minterm_count matches enumeration" ~count:300
-    (arb_cube 7) (fun cb ->
-      let cnt = ref 0 in
-      Cube.iter_minterms ~n:7 (fun _ -> incr cnt) cb;
-      !cnt = Cube.minterm_count ~n:7 cb)
-
 let suite =
   ( "cube",
     [
@@ -155,26 +120,16 @@ let suite =
       Alcotest.test_case "contains_minterm" `Quick test_contains_minterm;
       Alcotest.test_case "subsumes" `Quick test_subsumes;
       Alcotest.test_case "intersect" `Quick test_intersect;
-      Alcotest.test_case "distance" `Quick test_distance;
       Alcotest.test_case "supercube" `Quick test_supercube;
-      Alcotest.test_case "cofactor" `Quick test_cofactor;
       Alcotest.test_case "counts" `Quick test_counts;
       Alcotest.test_case "iter_minterms" `Quick test_iter_minterms;
-      Alcotest.test_case "complement_lits partitions" `Quick
-        test_complement_lits;
       QCheck_alcotest.to_alcotest prop_subsume_semantics;
       QCheck_alcotest.to_alcotest prop_intersect_semantics;
       QCheck_alcotest.to_alcotest prop_supercube_contains;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;
-      QCheck_alcotest.to_alcotest prop_minterm_count;
     ] )
 
 (* Additional algebraic properties. *)
-
-let prop_distance_symmetric =
-  QCheck.Test.make ~name:"distance is symmetric" ~count:300
-    QCheck.(pair (arb_cube 6) (arb_cube 6))
-    (fun (a, b) -> Cube.distance ~n:6 a b = Cube.distance ~n:6 b a)
 
 let prop_supercube_minimal =
   QCheck.Test.make ~name:"supercube is the least upper bound" ~count:300
@@ -192,19 +147,10 @@ let prop_set_get =
       let lit = match li with 0 -> Cube.Zero | 1 -> Cube.One | _ -> Cube.Free in
       Cube.get (Cube.set cb j lit) j = lit)
 
-let prop_cofactor_full_is_identity =
-  QCheck.Test.make ~name:"cofactor by full cube is identity" ~count:300
-    (arb_cube 6) (fun cb ->
-      match Cube.cofactor ~n:6 cb (Cube.full ~n:6) with
-      | Some r -> Cube.equal r cb
-      | None -> false)
-
 let extra_cases =
   [
-    QCheck_alcotest.to_alcotest prop_distance_symmetric;
     QCheck_alcotest.to_alcotest prop_supercube_minimal;
     QCheck_alcotest.to_alcotest prop_set_get;
-    QCheck_alcotest.to_alcotest prop_cofactor_full_is_identity;
   ]
 
 let suite = (fst suite, snd suite @ extra_cases)

@@ -1,5 +1,7 @@
-(* Tests for the espresso-style minimiser: correctness invariants on
-   random incompletely specified functions, plus canonical examples. *)
+(* Tests for the espresso-style minimisers: correctness invariants on
+   random incompletely specified functions, canonical examples, and
+   the exact Quine-McCluskey oracle the heuristics are measured
+   against. *)
 
 module Cube = Twolevel.Cube
 module Cover = Twolevel.Cover
@@ -8,96 +10,50 @@ module Bv = Bitvec.Bv
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let cov n strs = Cover.make ~n (List.map Cube.of_string strs)
+let bv_of_minterms n l =
+  let bv = Bv.create (1 lsl n) in
+  List.iter (Bv.set bv) l;
+  bv
 
-(* Build an on/dc pair from two disjoint minterm lists. *)
-let spec_of_minterms n on_l dc_l =
-  let mk l = Cover.make ~n (List.map (Cube.of_minterm ~n) l) in
-  (mk on_l, mk dc_l)
+(* Minimise the function with the given on- and DC-minterm lists. *)
+let dense n on_l dc_l =
+  let on = bv_of_minterms n on_l and dc = bv_of_minterms n dc_l in
+  (on, dc, Espresso.Dense.minimize ~n ~on ~dc)
 
 let valid_minimization ~n ~on ~dc result =
   let ok = ref true in
   for m = 0 to (1 lsl n) - 1 do
-    let in_on = Cover.eval on m and in_dc = Cover.eval dc m in
     let out = Cover.eval result m in
-    if in_on && not out then ok := false;
+    if Bv.get on m && not out then ok := false;
     (* off-set minterm must not be covered *)
-    if (not in_on) && (not in_dc) && out then ok := false
+    if (not (Bv.get on m)) && (not (Bv.get dc m)) && out then ok := false
   done;
   !ok
 
-let test_constant_one () =
-  let on, dc = spec_of_minterms 3 [ 0; 1; 2; 3; 4; 5; 6; 7 ] [] in
-  let r = Espresso.minimize_cover ~on ~dc in
-  check_int "single cube" 1 (Cover.size r);
-  check "tautology" true (Cover.is_tautology r)
-
 let test_constant_zero () =
-  let on, dc = spec_of_minterms 3 [] [ 1; 2 ] in
-  let r = Espresso.minimize_cover ~on ~dc in
+  let _, _, r = dense 3 [] [ 1; 2 ] in
   check_int "empty" 0 (Cover.size r)
 
 let test_xor_two_cubes () =
   (* XOR of 2 variables needs exactly 2 cubes. *)
-  let on, dc = spec_of_minterms 2 [ 1; 2 ] [] in
-  let r = Espresso.minimize_cover ~on ~dc in
+  let on, dc, r = dense 2 [ 1; 2 ] [] in
   check_int "xor cubes" 2 (Cover.size r);
-  check "valid" true (valid_minimization ~n:2 ~on ~dc r)
-
-let test_dc_merging () =
-  (* on = {00-,11-}? Classic: f on {0,3}, dc {1,2} over 2 vars: with DCs
-     assignable, a single full cube covers everything. *)
-  let on, dc = spec_of_minterms 2 [ 0; 3 ] [ 1; 2 ] in
-  let r = Espresso.minimize_cover ~on ~dc in
-  check_int "collapses to one cube" 1 (Cover.size r);
   check "valid" true (valid_minimization ~n:2 ~on ~dc r)
 
 let test_dc_not_required () =
   (* DCs must only be used when they help: off-set must stay uncovered. *)
-  let on, dc = spec_of_minterms 3 [ 0; 1 ] [ 7 ] in
-  let r = Espresso.minimize_cover ~on ~dc in
+  let on, dc, r = dense 3 [ 0; 1 ] [ 7 ] in
   check "valid" true (valid_minimization ~n:3 ~on ~dc r);
   check_int "one cube 00-" 1 (Cover.size r)
 
 let test_classic_example () =
   (* f = x0'x1' + x0 x1 over 3 vars with x2 free, from minterms. *)
-  let on = cov 3 [ "00-"; "11-" ] in
-  let dc = Cover.empty ~n:3 in
-  let r = Espresso.minimize_cover ~on ~dc in
+  let on =
+    Cover.to_bv (Cover.make ~n:3 (List.map Cube.of_string [ "00-"; "11-" ]))
+  in
+  let r = Espresso.Dense.minimize ~n:3 ~on ~dc:(Bv.create 8) in
   check_int "already minimal" 2 (Cover.size r);
-  check "same function" true (Cover.equivalent r on)
-
-let test_expand_produces_primes () =
-  let on, dc = spec_of_minterms 3 [ 0; 1; 2; 3 ] [] in
-  (* on = x2' as minterms; off = x2 *)
-  let off = Cover.complement (Cover.union on dc) in
-  let e = Espresso.Expand.run ~on ~off in
-  check_int "one prime" 1 (Cover.size e);
-  check "is 0 on x2 side" true (Cover.equivalent e (cov 3 [ "--0" ]))
-
-let test_irredundant_removes () =
-  let on = cov 3 [ "1--"; "11-"; "-1-" ] in
-  let r = Espresso.Irredundant.run ~on ~dc:(Cover.empty ~n:3) in
-  check_int "redundant middle cube dropped" 2 (Cover.size r);
-  check "function preserved" true (Cover.equivalent r on)
-
-let test_essential_extraction () =
-  (* x0' x1' is essential for covering minterm 00; over 2 vars with
-     cover {0-, -1}: minterm 0 only in 0-, minterm 3 only in -1. *)
-  let on = cov 2 [ "0-"; "-1" ] in
-  let ess, rest = Espresso.Essential.extract ~on ~dc:(Cover.empty ~n:2) in
-  check_int "both essential" 2 (Cover.size ess);
-  check_int "none left" 0 (Cover.size rest)
-
-let test_reduce_shrinks () =
-  (* Overlapping cubes: reduce must keep overall coverage with dc. *)
-  let on = cov 3 [ "1--"; "-1-" ] in
-  let r = Espresso.Reduce.run ~on ~dc:(Cover.empty ~n:3) in
-  check "coverage preserved" true (Cover.equivalent (Cover.make ~n:3 (Cover.cubes r)) on)
-
-let test_cost () =
-  let c = cov 3 [ "1--"; "011" ] in
-  Alcotest.(check (pair int int)) "cost" (2, 4) (Espresso.cost c)
+  check "same function" true (Bv.equal (Cover.to_bv r) on)
 
 (* Random specifications: partition the 2^n space into on/off/dc with a
    three-sided coin, minimise, and check the functional invariants. *)
@@ -120,98 +76,20 @@ let arb_spec n =
         (String.concat "," (List.map string_of_int dc)))
     (gen_spec n)
 
-let prop_minimize_valid =
-  QCheck.Test.make ~name:"minimize respects on/off sets" ~count:120
-    (arb_spec 5) (fun (on_l, dc_l) ->
-      let on, dc = spec_of_minterms 5 on_l dc_l in
-      let r = Espresso.minimize_cover ~on ~dc in
-      valid_minimization ~n:5 ~on ~dc r)
-
 let prop_minimize_no_worse =
   QCheck.Test.make ~name:"minimize never beats the on-set lower bound"
     ~count:80 (arb_spec 4) (fun (on_l, dc_l) ->
-      let on, dc = spec_of_minterms 4 on_l dc_l in
-      let r = Espresso.minimize_cover ~on ~dc in
+      let _, _, r = dense 4 on_l dc_l in
       (* trivially, cube count cannot exceed the number of on minterms,
          and must be >= 1 when the on-set is non-empty *)
       (on_l = [] && Cover.size r = 0)
       || (Cover.size r >= 1 && Cover.size r <= List.length on_l))
 
-let prop_expand_valid =
-  QCheck.Test.make ~name:"expand output disjoint from off, covers on"
-    ~count:80 (arb_spec 4) (fun (on_l, dc_l) ->
-      QCheck.assume (on_l <> []);
-      let on, dc = spec_of_minterms 4 on_l dc_l in
-      let off = Cover.complement (Cover.union on dc) in
-      let e = Espresso.Expand.run ~on ~off in
-      valid_minimization ~n:4 ~on ~dc e)
-
-let prop_irredundant_valid =
-  QCheck.Test.make ~name:"irredundant preserves coverage wrt dc" ~count:80
-    (arb_spec 4) (fun (on_l, dc_l) ->
-      let on, dc = spec_of_minterms 4 on_l dc_l in
-      let r = Espresso.Irredundant.run ~on ~dc in
-      (* every on minterm still covered by result + dc *)
-      let ok = ref true in
-      List.iter
-        (fun m -> if not (Cover.eval r m || Cover.eval dc m) then ok := false)
-        on_l;
-      !ok)
-
-let suite =
-  ( "espresso",
-    [
-      Alcotest.test_case "constant one" `Quick test_constant_one;
-      Alcotest.test_case "constant zero" `Quick test_constant_zero;
-      Alcotest.test_case "xor needs two cubes" `Quick test_xor_two_cubes;
-      Alcotest.test_case "dc merging" `Quick test_dc_merging;
-      Alcotest.test_case "dc not forced into cover" `Quick test_dc_not_required;
-      Alcotest.test_case "classic two-cube function" `Quick test_classic_example;
-      Alcotest.test_case "expand produces primes" `Quick
-        test_expand_produces_primes;
-      Alcotest.test_case "irredundant removes covered cube" `Quick
-        test_irredundant_removes;
-      Alcotest.test_case "essential extraction" `Quick test_essential_extraction;
-      Alcotest.test_case "reduce keeps coverage" `Quick test_reduce_shrinks;
-      Alcotest.test_case "cost pair" `Quick test_cost;
-      QCheck_alcotest.to_alcotest prop_minimize_valid;
-      QCheck_alcotest.to_alcotest prop_minimize_no_worse;
-      QCheck_alcotest.to_alcotest prop_expand_valid;
-      QCheck_alcotest.to_alcotest prop_irredundant_valid;
-    ] )
-
-(* Dense espresso: validity and agreement with the cover-algebra
-   implementation. *)
-
-let bv_of_minterms n l =
-  let bv = Bv.create (1 lsl n) in
-  List.iter (Bv.set bv) l;
-  bv
-
 let prop_dense_valid =
   QCheck.Test.make ~name:"dense minimize respects on/off sets" ~count:150
     (arb_spec 5) (fun (on_l, dc_l) ->
-      let on = bv_of_minterms 5 on_l and dc = bv_of_minterms 5 dc_l in
-      let r = Espresso.Dense.minimize ~n:5 ~on ~dc in
-      let ok = ref true in
-      for m = 0 to 31 do
-        let out = Cover.eval r m in
-        if Bv.get on m && not out then ok := false;
-        if (not (Bv.get on m)) && (not (Bv.get dc m)) && out then ok := false
-      done;
-      !ok)
-
-let prop_dense_matches_cover_quality =
-  QCheck.Test.make ~name:"dense cost within 2x of cover espresso" ~count:60
-    (arb_spec 5) (fun (on_l, dc_l) ->
-      QCheck.assume (on_l <> []);
-      let on_c, dc_c = spec_of_minterms 5 on_l dc_l in
-      let r_cover = Espresso.minimize_cover ~on:on_c ~dc:dc_c in
-      let on = bv_of_minterms 5 on_l and dc = bv_of_minterms 5 dc_l in
-      let r_dense = Espresso.Dense.minimize ~n:5 ~on ~dc in
-      (* Both are heuristics; sizes should be close.  Allow slack but
-         catch gross regressions. *)
-      Cover.size r_dense <= (2 * Cover.size r_cover) + 1)
+      let on, dc, r = dense 5 on_l dc_l in
+      valid_minimization ~n:5 ~on ~dc r)
 
 let test_dense_full_space () =
   let on = bv_of_minterms 3 [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
@@ -252,18 +130,21 @@ let test_dense_large_smoke () =
   check "valid on 10 inputs" true !ok;
   check "nontrivial compression" true (Cover.size r < Bv.cardinal on)
 
-let dense_cases =
-  [
-    Alcotest.test_case "dense: full space" `Quick test_dense_full_space;
-    Alcotest.test_case "dense: dc merging" `Quick test_dense_with_dc;
-    Alcotest.test_case "dense: overlap rejected" `Quick
-      test_dense_overlap_rejected;
-    Alcotest.test_case "dense: 10-input smoke" `Quick test_dense_large_smoke;
-    QCheck_alcotest.to_alcotest prop_dense_valid;
-    QCheck_alcotest.to_alcotest prop_dense_matches_cover_quality;
-  ]
-
-let suite = (fst suite, snd suite @ dense_cases)
+let suite =
+  ( "espresso",
+    [
+      Alcotest.test_case "constant zero" `Quick test_constant_zero;
+      Alcotest.test_case "xor needs two cubes" `Quick test_xor_two_cubes;
+      Alcotest.test_case "dc not forced into cover" `Quick test_dc_not_required;
+      Alcotest.test_case "classic two-cube function" `Quick test_classic_example;
+      QCheck_alcotest.to_alcotest prop_minimize_no_worse;
+      Alcotest.test_case "dense: full space" `Quick test_dense_full_space;
+      Alcotest.test_case "dense: dc merging" `Quick test_dense_with_dc;
+      Alcotest.test_case "dense: overlap rejected" `Quick
+        test_dense_overlap_rejected;
+      Alcotest.test_case "dense: 10-input smoke" `Quick test_dense_large_smoke;
+      QCheck_alcotest.to_alcotest prop_dense_valid;
+    ] )
 
 (* Exact Quine-McCluskey as oracle for the heuristics. *)
 
@@ -321,12 +202,10 @@ let prop_qm_valid =
       done;
       !ok)
 
-let prop_heuristic_never_beats_exact =
-  QCheck.Test.make ~name:"dense espresso never beats the exact minimum"
-    ~count:100 (arb_spec 4) (fun (on_l, dc_l) ->
-      let on = bv_of_minterms 4 on_l and dc = bv_of_minterms 4 dc_l in
-      let exact = Espresso.Qm.minimize ~n:4 ~on ~dc in
-      let heur = Espresso.Dense.minimize ~n:4 ~on ~dc in
+let prop_heuristic_never_beats_exact ~name n =
+  QCheck.Test.make ~name ~count:100 (arb_spec n) (fun (on_l, dc_l) ->
+      let on, dc, heur = dense n on_l dc_l in
+      let exact = Espresso.Qm.minimize ~n ~on ~dc in
       Cover.size heur >= Cover.size exact)
 
 let prop_heuristic_close_to_exact =
@@ -377,7 +256,12 @@ let qm_cases =
     Alcotest.test_case "qm: parity minimum" `Quick test_qm_min_xor3;
     Alcotest.test_case "qm: exploits dc" `Quick test_qm_uses_dc;
     QCheck_alcotest.to_alcotest prop_qm_valid;
-    QCheck_alcotest.to_alcotest prop_heuristic_never_beats_exact;
+    QCheck_alcotest.to_alcotest
+      (prop_heuristic_never_beats_exact
+         ~name:"dense espresso never beats the exact minimum" 4);
+    QCheck_alcotest.to_alcotest
+      (prop_heuristic_never_beats_exact
+         ~name:"dense espresso never beats QM at n=5" 5);
     QCheck_alcotest.to_alcotest prop_heuristic_close_to_exact;
     QCheck_alcotest.to_alcotest prop_primes_are_prime;
   ]

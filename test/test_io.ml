@@ -27,19 +27,6 @@ let test_blif_netlist_roundtrip () =
       (Netlist.eval_minterm nl m = Netlist.eval_minterm nl' m)
   done
 
-let test_blif_aig_roundtrip () =
-  let cover =
-    Cover.make ~n:4 (List.map Cube.of_string [ "11--"; "--00"; "1--1" ])
-  in
-  let aig = Aig.of_covers ~ni:4 [ cover ] in
-  let nl' = Blif.parse_string (Blif.of_aig aig) in
-  for m = 0 to 15 do
-    check
-      (Printf.sprintf "aig m=%d" m)
-      true
-      (Aig.eval_minterm aig m = Netlist.eval_minterm nl' m)
-  done
-
 let test_blif_mapped_roundtrip () =
   let cover =
     Cover.make ~n:4 (List.map Cube.of_string [ "1-0-"; "-11-"; "0--1" ])
@@ -116,7 +103,7 @@ let prop_blif_roundtrip =
     (QCheck.make (gen_cover 5))
     (fun cover ->
       let aig = Aig.of_covers ~ni:5 [ cover ] in
-      let nl = Blif.parse_string (Blif.of_aig aig) in
+      let nl = Blif.parse_string (Blif.of_netlist (Aig.to_netlist aig)) in
       let ok = ref true in
       for m = 0 to 31 do
         if Aig.eval_minterm aig m <> Netlist.eval_minterm nl m then ok := false
@@ -128,7 +115,6 @@ let suite =
     [
       Alcotest.test_case "blif netlist roundtrip" `Quick
         test_blif_netlist_roundtrip;
-      Alcotest.test_case "blif aig roundtrip" `Quick test_blif_aig_roundtrip;
       Alcotest.test_case "blif mapped roundtrip" `Quick
         test_blif_mapped_roundtrip;
       Alcotest.test_case "blif constants" `Quick test_blif_constants;
