@@ -634,6 +634,23 @@ let run_micro ~full:_ () =
    into this list; the harness exits non-zero when it is not empty. *)
 let mismatches = ref []
 
+(* Timing scalars of run-once sections: the median wall time of five
+   runs of the same call.  Every run must produce a result [same] as
+   the first, else the section records a mismatch. *)
+let timing_runs = 5
+
+let median_timed ~what ~same f =
+  let runs =
+    List.init timing_runs (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        (r, Unix.gettimeofday () -. t0))
+  in
+  let r0 = fst (List.hd runs) in
+  if not (List.for_all (fun (r, _) -> same r0 r) runs) then
+    mismatches := (what ^ " differs between timing runs") :: !mismatches;
+  (r0, List.nth (List.sort Float.compare (List.map snd runs)) (timing_runs / 2))
+
 (* ------------------------------------------------------------------ *)
 (* Cross-backend agreement: on the small suite benchmarks the
    symbolic (BDD) backend must reproduce the exhaustive engines
@@ -759,8 +776,8 @@ let run_backends ~full () =
    are compared bit-identically), rewrite the DC patterns and prove
    the result still realises the care set.  Any window disagreement or
    equivalence failure feeds the mismatch list, so the cross-engine
-   contract gates the exit code.  Timing (µs per analyzed node) makes
-   this a run-once section. *)
+   contract gates the exit code.  Timing (µs per analyzed node, the
+   median of five identical sweeps) makes this a run-once section. *)
 
 let run_dc_extract ~full () =
   let module Dc = Rdca_dc.Dc in
@@ -777,9 +794,15 @@ let run_dc_extract ~full () =
           Rdca_flow.Flow.synthesize ~mode:Techmap.Mapper.Area
             ~strategy:Rdca_flow.Flow.Conventional spec
         in
-        let t0 = Unix.gettimeofday () in
-        let opt = Dc.optimize ~config ~strategy:Dc.Complete r.Rdca_flow.Flow.netlist in
-        let dt = Unix.gettimeofday () -. t0 in
+        let opt, dt =
+          median_timed ~what:(Printf.sprintf "dc-extract [%s report]" name)
+            ~same:(fun a b ->
+              a.Dc.opt_report = b.Dc.opt_report
+              && a.Dc.rewritten = b.Dc.rewritten)
+            (fun () ->
+              Dc.optimize ~config ~strategy:Dc.Complete
+                r.Rdca_flow.Flow.netlist)
+        in
         let rep = opt.Dc.opt_report in
         if rep.Dc.disagreements > 0 then
           mismatches :=
@@ -851,8 +874,9 @@ let run_dc_extract ~full () =
    again with the exhaustive word-parallel simulator, and compare the
    two verdict vectors bit-identically.  Any divergence feeds the
    mismatch list so the cross-engine contract gates the exit code;
-   faults/s and the collapse ratio are the headline scalars.  Timing
-   makes this a run-once section. *)
+   faults/s (the median of five identical SAT runs) and the collapse
+   ratio are the headline scalars.  Timing makes this a run-once
+   section. *)
 
 let run_testability ~full:_ () =
   let module A = Atpg.Engine in
@@ -869,9 +893,16 @@ let run_testability ~full:_ () =
         let analyze backend =
           A.analyze ~config:{ A.default_config with A.backend } nl
         in
-        let t0 = Unix.gettimeofday () in
-        let sat = analyze A.Sat_engine in
-        let dt = Unix.gettimeofday () -. t0 in
+        let verdicts (rep : A.report) =
+          List.map
+            (fun (f : A.fault_result) -> (f.A.rep, f.A.verdict))
+            rep.A.results
+        in
+        let sat, dt =
+          median_timed ~what:(Printf.sprintf "testability [%s verdicts]" name)
+            ~same:(fun a b -> verdicts a = verdicts b)
+            (fun () -> analyze A.Sat_engine)
+        in
         let exh = analyze A.Exhaustive in
         let identical =
           List.length sat.A.results = List.length exh.A.results

@@ -8,13 +8,32 @@ type man = {
   mutable low_of : int array;
   mutable high_of : int array;
   mutable next : int; (* next free slot *)
-  unique : (int * int * int, int) Hashtbl.t; (* (var,low,high) -> node *)
-  ite_cache : (int * int * int, int) Hashtbl.t;
+  mutable unique : int array;
+      (* open addressing with linear probing over node handles, 0 for an
+         empty slot (terminals are never hashed); twice the node
+         capacity, so at most half full *)
+  mutable cache : int array;
+      (* direct-mapped, lossy ITE cache: entry e holds (f, g, h, result)
+         at [4e .. 4e+3]; f = 0 marks an empty entry, since a terminal
+         [f] never reaches the cache *)
+  mutable stamp : int array; (* node visited by the current walk iff = epoch *)
+  mutable memo : int array; (* per-node results of the current walk *)
+  mutable fmemo : float array;
+  mutable epoch : int;
 }
+
+(* Node slots of a fresh manager.  Kept small: the windowed DC
+   extractor builds one manager per window, most of them a few hundred
+   nodes. *)
+let initial_capacity = 256
+
+(* The computed cache grows with the node arrays up to this many
+   entries (32 MB). *)
+let max_cache_entries = 1 lsl 20
 
 let make_man ~nvars =
   if nvars < 0 then invalid_arg "Bdd.make_man";
-  let cap = 1024 in
+  let cap = initial_capacity in
   let m =
     {
       nvars;
@@ -22,16 +41,18 @@ let make_man ~nvars =
       low_of = Array.make cap 0;
       high_of = Array.make cap 0;
       next = 2;
-      unique = Hashtbl.create 1024;
-      ite_cache = Hashtbl.create 1024;
+      unique = Array.make (2 * cap) 0;
+      cache = Array.make (4 * cap) 0;
+      stamp = [||];
+      memo = [||];
+      fmemo = [||];
+      epoch = 0;
     }
   in
   (* Terminals sit below every variable: give them variable index
      [nvars] so the "top variable" comparisons are uniform. *)
   m.var_of.(0) <- nvars;
   m.var_of.(1) <- nvars;
-  m.low_of.(0) <- 0;
-  m.high_of.(0) <- 0;
   m.low_of.(1) <- 1;
   m.high_of.(1) <- 1;
   m
@@ -43,32 +64,72 @@ let is_zero _ f = f = 0
 let is_one _ f = f = 1
 let equal (a : t) (b : t) = a = b
 
+let hash a b c =
+  let h = ((((a * 0x9E3779B1) + b) * 0x85EBCA77) + c) * 0xC2B2AE3D in
+  h lxor (h lsr 29)
+
+(* The slot holding node (v, low, high), or the empty slot where it
+   belongs. *)
+let rec probe m v low high i =
+  let n = m.unique.(i) in
+  if n = 0 || (m.var_of.(n) = v && m.low_of.(n) = low && m.high_of.(n) = high)
+  then i
+  else probe m v low high ((i + 1) land (Array.length m.unique - 1))
+
+let slot m v low high =
+  probe m v low high (hash v low high land (Array.length m.unique - 1))
+
+let cache_entry cache f g h =
+  (hash f g h land ((Array.length cache lsr 2) - 1)) lsl 2
+
+let cache_store cache f g h r =
+  let e = cache_entry cache f g h in
+  cache.(e) <- f;
+  cache.(e + 1) <- g;
+  cache.(e + 2) <- h;
+  cache.(e + 3) <- r
+
+(* Double the node arrays and the unique table (rehashed); the cache
+   doubles too, keeping its entries, until [max_cache_entries]. *)
 let grow m =
   let cap = Array.length m.var_of in
-  if m.next >= cap then begin
-    let ncap = cap * 2 in
-    let extend a = Array.append a (Array.make cap 0) in
-    m.var_of <- extend m.var_of;
-    m.low_of <- extend m.low_of;
-    m.high_of <- extend m.high_of;
-    ignore ncap
+  let extend a = Array.append a (Array.make cap 0) in
+  m.var_of <- extend m.var_of;
+  m.low_of <- extend m.low_of;
+  m.high_of <- extend m.high_of;
+  m.unique <- Array.make (4 * cap) 0;
+  for n = 2 to m.next - 1 do
+    m.unique.(slot m m.var_of.(n) m.low_of.(n) m.high_of.(n)) <- n
+  done;
+  let old = m.cache in
+  if Array.length old lsr 2 < max_cache_entries then begin
+    m.cache <- Array.make (2 * Array.length old) 0;
+    for e = 0 to (Array.length old lsr 2) - 1 do
+      let k = 4 * e in
+      if old.(k) <> 0 then
+        cache_store m.cache old.(k) old.(k + 1) old.(k + 2) old.(k + 3)
+    done
   end
 
-let mk m v low high =
+let rec mk m v low high =
   if low = high then low
   else
-    let key = (v, low, high) in
-    match Hashtbl.find_opt m.unique key with
-    | Some n -> n
-    | None ->
-        grow m;
-        let n = m.next in
-        m.next <- n + 1;
-        m.var_of.(n) <- v;
-        m.low_of.(n) <- low;
-        m.high_of.(n) <- high;
-        Hashtbl.add m.unique key n;
-        n
+    let i = slot m v low high in
+    let n = m.unique.(i) in
+    if n <> 0 then n
+    else if m.next = Array.length m.var_of then begin
+      grow m;
+      mk m v low high
+    end
+    else begin
+      let n = m.next in
+      m.next <- n + 1;
+      m.var_of.(n) <- v;
+      m.low_of.(n) <- low;
+      m.high_of.(n) <- high;
+      m.unique.(i) <- n;
+      n
+    end
 
 let var m i =
   if i < 0 || i >= m.nvars then invalid_arg "Bdd.var: out of range";
@@ -92,22 +153,24 @@ let rec ite m f g h =
   else if g = h then g
   else if g = 1 && h = 0 then f
   else
-    let key = (f, g, h) in
-    match Hashtbl.find_opt m.ite_cache key with
-    | Some r -> r
-    | None ->
-        let v = top3 m f g h in
-        let r0 =
-          ite m (cof m f v ~value:false) (cof m g v ~value:false)
-            (cof m h v ~value:false)
-        in
-        let r1 =
-          ite m (cof m f v ~value:true) (cof m g v ~value:true)
-            (cof m h v ~value:true)
-        in
-        let r = mk m v r0 r1 in
-        Hashtbl.add m.ite_cache key r;
-        r
+    let c = m.cache in
+    let e = cache_entry c f g h in
+    if c.(e) = f && c.(e + 1) = g && c.(e + 2) = h then c.(e + 3)
+    else begin
+      let v = top3 m f g h in
+      let r0 =
+        ite m (cof m f v ~value:false) (cof m g v ~value:false)
+          (cof m h v ~value:false)
+      in
+      let r1 =
+        ite m (cof m f v ~value:true) (cof m g v ~value:true)
+          (cof m h v ~value:true)
+      in
+      let r = mk m v r0 r1 in
+      (* The recursion may have grown the cache. *)
+      cache_store m.cache f g h r;
+      r
+    end
 
 let bnot m f = ite m f 0 1
 let band m a b = ite m a b 0
@@ -137,37 +200,46 @@ let forall m vars f =
         (restrict m f ~var:v ~value:true))
     f vars
 
-let rec eval m f assignment =
+let rec eval_minterm m f mt =
   if f <= 1 then f = 1
-  else
-    let v = m.var_of.(f) in
-    eval m
-      (if assignment v then m.high_of.(f) else m.low_of.(f))
-      assignment
+  else if mt land (1 lsl m.var_of.(f)) <> 0 then
+    eval_minterm m m.high_of.(f) mt
+  else eval_minterm m m.low_of.(f) mt
 
-let eval_minterm m f mt = eval m f (fun i -> mt land (1 lsl i) <> 0)
+(* ------------------------------------------------------------------ *)
+(* Memoised walks.  A walk visits only nodes that exist when it starts
+   (descendants of its argument), so the mark arrays need only cover
+   the node capacity of that moment; nodes a walk creates are never
+   marked. *)
+
+let new_walk m =
+  let cap = Array.length m.var_of in
+  if Array.length m.stamp < cap then begin
+    m.stamp <- Array.make cap 0;
+    m.memo <- Array.make cap 0;
+    m.fmemo <- Array.make cap 0.0
+  end;
+  m.epoch <- m.epoch + 1;
+  m.epoch
+
+let[@inline] count_of m f = if f <= 1 then float_of_int f else m.fmemo.(f)
+
+(* Fills [fmemo.(f)] with the count of [f] over the variables below
+   (>=) its level; the caller scales at the top. *)
+let rec count_below m ep f =
+  if f > 1 && m.stamp.(f) <> ep then begin
+    let v = m.var_of.(f) and lo = m.low_of.(f) and hi = m.high_of.(f) in
+    count_below m ep lo;
+    count_below m ep hi;
+    m.fmemo.(f) <-
+      (count_of m lo *. Float.ldexp 1.0 (m.var_of.(lo) - v - 1))
+      +. (count_of m hi *. Float.ldexp 1.0 (m.var_of.(hi) - v - 1));
+    m.stamp.(f) <- ep
+  end
 
 let satcount_float m f =
-  let memo = Hashtbl.create 64 in
-  (* Count over the variables below (>=) a node's level; scale at top. *)
-  let rec go f =
-    if f = 0 then 0.0
-    else if f = 1 then 1.0
-    else
-      match Hashtbl.find_opt memo f with
-      | Some c -> c
-      | None ->
-          let v = m.var_of.(f) in
-          let weight child =
-            let cv = m.var_of.(child) in
-            go child *. (2.0 ** float_of_int (cv - v - 1))
-          in
-          let c = weight m.low_of.(f) +. weight m.high_of.(f) in
-          Hashtbl.add memo f c;
-          c
-  in
-  let v = m.var_of.(f) in
-  (2.0 ** float_of_int v) *. go f
+  count_below m (new_walk m) f;
+  Float.ldexp 1.0 m.var_of.(f) *. count_of m f
 
 (* 2^62 is the first count [int] cannot hold (max_int = 2^62 - 1);
    the float comparison is conservative at the boundary because
@@ -181,37 +253,48 @@ let satcount m f =
       "Bdd.satcount: count exceeds the integer range; use satcount_float"
   else int_of_float c
 
-let iter_minterms m f g =
-  if m.nvars > 24 then invalid_arg "Bdd.iter_minterms: nvars too large";
-  for mt = 0 to (1 lsl m.nvars) - 1 do
-    if eval_minterm m f mt then g mt
-  done
+let rec count_nodes m ep f acc =
+  if f <= 1 || m.stamp.(f) = ep then acc
+  else begin
+    m.stamp.(f) <- ep;
+    count_nodes m ep m.high_of.(f) (count_nodes m ep m.low_of.(f) (acc + 1))
+  end
 
-let size m f =
-  let seen = Hashtbl.create 64 in
-  let rec go f =
-    if f > 1 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      go m.low_of.(f);
-      go m.high_of.(f)
-    end
-  in
-  go f;
-  Hashtbl.length seen
+let size m f = count_nodes m (new_walk m) f 0
 
 let support m f =
-  let vars = Hashtbl.create 16 in
-  let seen = Hashtbl.create 64 in
+  let ep = new_walk m in
+  let used = Array.make m.nvars false in
   let rec go f =
-    if f > 1 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      Hashtbl.replace vars m.var_of.(f) ();
+    if f > 1 && m.stamp.(f) <> ep then begin
+      m.stamp.(f) <- ep;
+      used.(m.var_of.(f)) <- true;
       go m.low_of.(f);
       go m.high_of.(f)
     end
   in
   go f;
-  Hashtbl.fold (fun v () acc -> v :: acc) vars [] |> List.sort compare
+  List.filter (fun v -> used.(v)) (List.init m.nvars Fun.id)
+
+let flip_var m f i =
+  if i < 0 || i >= m.nvars then invalid_arg "Bdd.flip_var: out of range";
+  let ep = new_walk m in
+  let rec go f =
+    let v = m.var_of.(f) in
+    if v > i then f (* below variable i in the order: independent *)
+    else if v = i then mk m i m.high_of.(f) m.low_of.(f)
+    else if m.stamp.(f) = ep then m.memo.(f)
+    else begin
+      let r = mk m v (go m.low_of.(f)) (go m.high_of.(f)) in
+      m.stamp.(f) <- ep;
+      m.memo.(f) <- r;
+      r
+    end
+  in
+  go f
+
+(* ------------------------------------------------------------------ *)
+(* Conversions. *)
 
 let of_cube m cube =
   let rec go i acc =
@@ -288,29 +371,10 @@ let of_bv m bv =
 let to_bv m f =
   if m.nvars > 24 then invalid_arg "Bdd.to_bv: nvars too large";
   let bv = Bitvec.Bv.create (1 lsl m.nvars) in
-  iter_minterms m f (Bitvec.Bv.set bv);
+  for mt = 0 to (1 lsl m.nvars) - 1 do
+    if eval_minterm m f mt then Bitvec.Bv.set bv mt
+  done;
   bv
-
-let node_count m = m.next - 2
-
-let clear_caches m = Hashtbl.reset m.ite_cache
-
-let flip_var m f i =
-  if i < 0 || i >= m.nvars then invalid_arg "Bdd.flip_var: out of range";
-  let memo = Hashtbl.create 64 in
-  let rec go f =
-    let v = m.var_of.(f) in
-    if v > i then f (* below variable i in the order: independent *)
-    else if v = i then mk m i m.high_of.(f) m.low_of.(f)
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-          let r = mk m v (go m.low_of.(f)) (go m.high_of.(f)) in
-          Hashtbl.add memo f r;
-          r
-  in
-  go f
 
 let isop m ~lower ~upper =
   if band m lower (bnot m upper) <> 0 then

@@ -10,11 +10,27 @@
     ([Analysis.Bdd_exact], [Sym]), the care-set equivalence proof of
     [Netlist_check] and the windowed don't-care extractor [Dc].
 
+    The core is CUDD-shaped and lives in int arrays: nodes are
+    (variable, low, high) triples in arrays that double when full;
+    the unique table is open-addressed with linear probing and kept
+    at most half full; ITE results go to a direct-mapped, lossy
+    computed cache that overwrites on collision and grows with the
+    node arrays up to a fixed 2{^20} entries.  Nodes are never freed.
+    {!satcount_float}, {!flip_var}, {!size} and {!support} memoise
+    per node through one epoch-stamped mark array in the manager, so
+    no walk allocates a table.
+
+    A manager has one writer at a time: every operation but
+    {!eval_minterm} writes to it (nodes, cache entries or walk marks).
+    {!eval_minterm} only reads, so any number of domains may call it
+    concurrently while nothing writes.
+
     Handles are only meaningful with the manager that created them;
-    mixing managers raises [Invalid_argument] where detectable. *)
+    mixing managers is not checked. *)
 
 type man
-(** A BDD manager: unique table, operation caches, variable count. *)
+(** A BDD manager: node arrays, unique table, computed cache, walk
+    marks, variable count. *)
 
 type t
 (** A BDD handle (a function over the manager's variables). *)
@@ -67,12 +83,9 @@ val exists : man -> int list -> t -> t
 (** [forall man vars f] universally quantifies the listed variables. *)
 val forall : man -> int list -> t -> t
 
-(** [eval man f assignment] evaluates [f]; [assignment i] gives the
-    value of variable [i]. *)
-val eval : man -> t -> (int -> bool) -> bool
-
 (** [eval_minterm man f m] evaluates on the minterm encoding [m]
-    (bit [i] of [m] = variable [i]). *)
+    (bit [i] of [m] = variable [i]).  Read-only: safe to call from
+    several domains at once. *)
 val eval_minterm : man -> t -> int -> bool
 
 (** [satcount man f] is the number of satisfying assignments over all
@@ -81,11 +94,6 @@ val eval_minterm : man -> t -> int -> bool
     longer be represented as an [int] — wide supports should use
     {!satcount_float} instead. *)
 val satcount : man -> t -> int
-
-(** [iter_minterms man f g] applies [g] to every satisfying minterm
-    encoding, in increasing order.  Exponential in [nvars]; intended
-    for the dense regime the paper works in. *)
-val iter_minterms : man -> t -> (int -> unit) -> unit
 
 (** [size man f] is the number of distinct internal nodes of [f]
     (terminals excluded). *)
@@ -98,9 +106,6 @@ val support : man -> t -> int list
 
 (** [of_cover man cover] builds the BDD of a two-level cover. *)
 val of_cover : man -> Twolevel.Cover.t -> t
-
-(** [of_cube man cube] builds the BDD of a single cube. *)
-val of_cube : man -> Twolevel.Cube.t -> t
 
 (** [of_gate man g fanins] builds the output of one netlist gate over
     the BDDs of its fanins (pin order = array order) — the BDD
@@ -115,13 +120,6 @@ val of_bv : man -> Bitvec.Bv.t -> t
 
 (** [to_bv man f] densely expands [f] (requires [nvars <= 24]). *)
 val to_bv : man -> t -> Bitvec.Bv.t
-
-(** [node_count man] is the total number of live nodes in the manager,
-    a health metric for tests and benchmarks. *)
-val node_count : man -> int
-
-(** [clear_caches man] drops operation caches (unique table is kept). *)
-val clear_caches : man -> unit
 
 (** [flip_var man f i] is the function [x -> f (x with variable i
     flipped)] — the symbolic form of the paper's 1-Hamming-distance

@@ -28,15 +28,32 @@ let pp_value ppf = function
   | Interval { est; lo; hi } ->
       Format.fprintf ppf "%.9g [%.9g, %.9g]" est lo hi
 
+(* Success counts of one sampling pass (see the sampled engine). *)
+type tally = {
+  mutable t_on : int;
+  mutable t_off : int;
+  mutable t_dc : int;
+  mutable t_base : int;
+  mutable t_min : int;
+  mutable t_max : int;
+  mutable t_b0 : int;
+  mutable t_b1 : int;
+  mutable t_bdc : int;
+  mutable t_same : int;
+  mutable t_rate : int;
+}
+
 type t = {
   ni : int;
   no : int;
   dense : Spec.t option;
   sym : (Bdd.man * Sym.sets array) Lazy.t;
-  (* Per-output symbolic memos; filled from sequential entry points
-     only (the parallel regions below never touch them). *)
+  (* Per-output memos; filled from sequential entry points only (the
+     parallel regions below never touch them). *)
   stats_memo : Sym.stats option array;
   minmax_memo : (float * float) option array;
+  tally_memo : (int * int * tally) option array;
+      (* the impl-free sampled tally, keyed by (samples, seed) *)
 }
 
 let ni t = t.ni
@@ -55,6 +72,7 @@ let of_spec spec =
          (man, Array.init no (fun o -> Sym.of_spec man spec ~o)));
     stats_memo = Array.make no None;
     minmax_memo = Array.make no None;
+    tally_memo = Array.make no None;
   }
 
 let of_cover_sets ~ni outputs =
@@ -82,6 +100,7 @@ let of_cover_sets ~ni outputs =
          (man, Array.map (Sym.of_cover_sets man) arr));
     stats_memo = Array.make (Array.length arr) None;
     minmax_memo = Array.make (Array.length arr) None;
+    tally_memo = Array.make (Array.length arr) None;
   }
 
 let check_output t o =
@@ -144,21 +163,9 @@ let sym_minmax t o =
    Draws are grouped into fixed-size chunks, each with its own RNG
    seeded by (seed, output, chunk index), mapped through the pool and
    folded in chunk order — the trace is a function of the seed alone,
-   never of the job count. *)
-
-type tally = {
-  mutable t_on : int;
-  mutable t_off : int;
-  mutable t_dc : int;
-  mutable t_base : int;
-  mutable t_min : int;
-  mutable t_max : int;
-  mutable t_b0 : int;
-  mutable t_b1 : int;
-  mutable t_bdc : int;
-  mutable t_same : int;
-  mutable t_rate : int;
-}
+   never of the job count.  Without an implementation the tally is a
+   function of (samples, seed) alone, not of the confidence, so each
+   output draws once and every impl-free quantity reads that pass. *)
 
 let tally_zero () =
   {
@@ -209,7 +216,7 @@ let phase_fn t ~o =
         else if Bdd.eval_minterm man s.Sym.off m then Spec.Off
         else Spec.Dc
 
-let sample ~params ?impl t ~o =
+let draw ~params ?impl t ~o =
   let n = t.ni in
   if params.samples <= 0 then invalid_arg "Analysis: samples must be positive";
   let phase = phase_fn t ~o (* forces the lazy before the parallel map *) in
@@ -263,6 +270,16 @@ let sample ~params ?impl t ~o =
   let acc = tally_zero () in
   Array.iter (tally_merge acc) tallies;
   acc
+
+let sample ~params t ~o =
+  match t.tally_memo.(o) with
+  | Some (samples, seed, s) when samples = params.samples && seed = params.seed
+    ->
+      s
+  | _ ->
+      let s = draw ~params t ~o in
+      t.tally_memo.(o) <- Some (params.samples, params.seed, s);
+      s
 
 let wilson_value ~params ~successes =
   let lo, hi =
@@ -424,7 +441,7 @@ let rate_of_table ?(params = default_params) ~backend t ~o ~impl =
         let man, _ = Lazy.force t.sym in
         symbolic_rate t ~o ~impl_bdd:(Bdd.of_bv man impl)
     | Sampled ->
-        let s = sample ~params ~impl:(Bv.get impl) t ~o in
+        let s = draw ~params ~impl:(Bv.get impl) t ~o in
         wilson_value ~params ~successes:s.t_rate
 
 let rate_of_cover ?(params = default_params) ~backend t ~o ~impl =
@@ -443,7 +460,7 @@ let rate_of_cover ?(params = default_params) ~backend t ~o ~impl =
         let man, _ = Lazy.force t.sym in
         symbolic_rate t ~o ~impl_bdd:(Bdd.of_cover man impl)
     | Sampled ->
-        let s = sample ~params ~impl:(Twolevel.Cover.eval impl) t ~o in
+        let s = draw ~params ~impl:(Twolevel.Cover.eval impl) t ~o in
         wilson_value ~params ~successes:s.t_rate
 
 (* ------------------------------------------------------------------ *)

@@ -48,9 +48,11 @@ let mask1 c = c.m1
 
 let of_masks ~m0 ~m1 =
   let valid = m0 lor m1 in
-  (* Every variable up to the highest used bit must be representable;
-     callers pass masks already restricted to [0, n). *)
+  (* Every variable up to the highest used bit must be representable:
+     the valid bits form a contiguous low mask. *)
   if valid < 0 then invalid_arg "Cube.of_masks: negative mask";
+  if valid land (valid + 1) <> 0 then
+    invalid_arg "Cube.of_masks: empty literal below the highest set bit";
   { m0; m1 }
 
 let contains_minterm c m =

@@ -188,9 +188,11 @@ let test_sampled_coverage () =
 
 let test_sampled_jobs_deterministic () =
   let s = coverage_spec () in
-  let t = Analysis.of_spec s in
   let params = { Analysis.default_params with samples = 10_000; seed = 11 } in
+  (* A fresh problem per job count: a shared one would answer the
+     second run from its memoised draw. *)
   let run jobs =
+    let t = Analysis.of_spec s in
     Parallel.Pool.with_jobs jobs (fun () ->
         ( Analysis.bounds ~params ~backend:Analysis.Sampled t ~o:0,
           Analysis.borders ~params ~backend:Analysis.Sampled t ~o:0 ))
@@ -209,8 +211,79 @@ let test_sampled_jobs_deterministic () =
   check "bdc" true (same c1.Analysis.bdc c4.Analysis.bdc);
   (* A different seed must actually change the draw. *)
   let params' = { params with seed = 12 } in
-  let b' = Analysis.bounds ~params:params' ~backend:Analysis.Sampled t ~o:0 in
+  let b' =
+    Analysis.bounds ~params:params' ~backend:Analysis.Sampled
+      (Analysis.of_spec s) ~o:0
+  in
   check "seed matters" false (same b1.Analysis.base b'.Analysis.base)
+
+(* (c') one sampling pass per output: every impl-free query on a shared
+   problem, in any order, equals the same query on a fresh problem, and
+   another seed or sample count draws again. *)
+
+let test_sampled_memo () =
+  let rng = Random.State.make [| 9 |] in
+  let s = Synthetic.Synth_gen.random_spec ~rng ~ni:7 ~no:2 ~f1:0.35 ~f0:0.4 in
+  let backend = Analysis.Sampled in
+  let queries params =
+    [
+      ( "signal_probs o=0",
+        fun t ->
+          let f1, f0, fdc = Analysis.signal_probs ~params ~backend t ~o:0 in
+          [ f1; f0; fdc ] );
+      ( "borders o=1",
+        fun t ->
+          let c = Analysis.borders ~params ~backend t ~o:1 in
+          [ c.Analysis.b0; c.Analysis.b1; c.Analysis.bdc ] );
+      ( "complexity_factor o=1",
+        fun t -> [ Analysis.complexity_factor ~params ~backend t ~o:1 ] );
+      ( "mean_bounds",
+        fun t ->
+          let b = Analysis.mean_bounds ~params ~backend t in
+          [ b.Analysis.base; b.Analysis.min_dc; b.Analysis.max_dc ] );
+      ( "bounds o=0",
+        fun t ->
+          let b = Analysis.bounds ~params ~backend t ~o:0 in
+          [ b.Analysis.base; b.Analysis.min_dc; b.Analysis.max_dc ] );
+    ]
+  in
+  let key vs =
+    String.concat " "
+      (List.map
+         (fun v ->
+           Printf.sprintf "%h[%h,%h]" (Analysis.value_est v)
+             (Analysis.value_lo v) (Analysis.value_hi v))
+         vs)
+  in
+  let on_fresh params =
+    List.map
+      (fun (name, q) -> (name, key (q (Analysis.of_spec s))))
+      (queries params)
+  in
+  let base = { Analysis.default_params with samples = 6_000; seed = 3 } in
+  let expected = on_fresh base in
+  let shared = Analysis.of_spec s in
+  let check_on expected order =
+    List.iter
+      (fun (name, q) ->
+        Alcotest.(check string)
+          name (List.assoc name expected) (key (q shared)))
+      order
+  in
+  let qs = queries base in
+  check_on expected qs;
+  check_on expected (List.rev qs);
+  check_on expected (List.tl qs @ [ List.hd qs ]);
+  List.iter
+    (fun (what, params) ->
+      let expected' = on_fresh params in
+      check (what ^ " changes the draw") true (expected' <> expected);
+      check_on expected' (queries params);
+      check_on expected qs)
+    [
+      ("seed", { base with seed = 4 });
+      ("samples", { base with samples = 5_000 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Auto policy, degenerate specs, parsing, large n. *)
@@ -634,6 +707,8 @@ let suite =
         test_sampled_coverage;
       Alcotest.test_case "sampled deterministic across job counts" `Quick
         test_sampled_jobs_deterministic;
+      Alcotest.test_case "sampled queries share one draw per output" `Quick
+        test_sampled_memo;
       Alcotest.test_case "auto backend policy" `Quick test_auto_policy;
       Alcotest.test_case "backend names round-trip" `Quick test_backend_names;
       Alcotest.test_case "estimate degenerate n=0" `Quick

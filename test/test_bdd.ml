@@ -380,3 +380,206 @@ let law_cases =
   ]
 
 let suite = (fst suite, snd suite @ law_cases)
+
+(* The int-array core: random programs checked step by step against
+   dense truth tables.  A program starts from 16 random functions and
+   runs 400 steps over 8 variables; a fresh manager starts with 256
+   node slots and ends with 2k to 5k nodes, so every program crosses
+   four or five doublings of the node arrays, the unique table and
+   the computed cache. *)
+
+let prog_vars = 8
+
+(* An operand is a variable or the k-th most recent function.  [Ite]
+   takes two variables and a function, so many calls share their
+   (f, g) pair and differ only in h. *)
+type operand = V of int | R of int
+
+type step =
+  | Not of operand
+  | And of operand * operand
+  | Or of operand * operand
+  | Xor of operand * operand
+  | Ite of int * int * operand
+  | Flip of operand * int
+
+let gen_program =
+  let open QCheck.Gen in
+  let var = int_bound (prog_vars - 1) in
+  let opnd =
+    frequency
+      [ (1, map (fun i -> V i) var); (3, map (fun k -> R k) (int_bound 15)) ]
+  in
+  let step =
+    frequency
+      [
+        (1, map (fun a -> Not a) opnd);
+        (2, map2 (fun a b -> And (a, b)) opnd opnd);
+        (2, map2 (fun a b -> Or (a, b)) opnd opnd);
+        (3, map2 (fun a b -> Xor (a, b)) opnd opnd);
+        (3, map3 (fun f g h -> Ite (f, g, h)) var var opnd);
+        (2, map2 (fun a i -> Flip (a, i)) opnd var);
+      ]
+  in
+  pair int (list_repeat 400 step)
+
+let size_n = 1 lsl prog_vars
+
+let dense_var i =
+  Bv.of_list size_n
+    (List.filter (fun m -> m land (1 lsl i) <> 0) (List.init size_n Fun.id))
+
+let dense_flip ~n tt i =
+  let r = Bv.create (1 lsl n) in
+  for mt = 0 to (1 lsl n) - 1 do
+    if Bv.get tt (mt lxor (1 lsl i)) then Bv.set r mt
+  done;
+  r
+
+let dense_ite f g h = Bv.union (Bv.inter f g) (Bv.diff h f)
+
+let run_program m (seed, steps) =
+  let rng = Random.State.make [| seed |] in
+  let tts = ref (Array.init 16 (fun _ -> Bv.random ~rng size_n ~density:0.5)) in
+  let fs = ref (Array.map (Bdd.of_bv m) !tts) in
+  let fetch = function
+    | V i -> (Bdd.var m i, dense_var i)
+    | R k ->
+        let j = Array.length !fs - 1 - k in
+        (!fs.(j), !tts.(j))
+  in
+  let ok = ref true in
+  List.iter
+    (fun step ->
+      let f, tt =
+        match step with
+        | Not a ->
+            let f, t = fetch a in
+            (Bdd.bnot m f, Bv.complement t)
+        | And (a, b) ->
+            let (f, t), (g, u) = (fetch a, fetch b) in
+            (Bdd.band m f g, Bv.inter t u)
+        | Or (a, b) ->
+            let (f, t), (g, u) = (fetch a, fetch b) in
+            (Bdd.bor m f g, Bv.union t u)
+        | Xor (a, b) ->
+            let (f, t), (g, u) = (fetch a, fetch b) in
+            (Bdd.bxor m f g, Bv.logxor t u)
+        | Ite (i, j, c) ->
+            let h, u = fetch c in
+            ( Bdd.ite m (Bdd.var m i) (Bdd.var m j) h,
+              dense_ite (dense_var i) (dense_var j) u )
+        | Flip (a, i) ->
+            let f, t = fetch a in
+            (Bdd.flip_var m f i, dense_flip ~n:prog_vars t i)
+      in
+      if not (Bv.equal (Bdd.to_bv m f) tt) then ok := false;
+      fs := Array.append !fs [| f |];
+      tts := Array.append !tts [| tt |])
+    steps;
+  (!ok, !fs, !tts)
+
+let print_step = function
+  | Not _ -> "not" | And _ -> "and" | Or _ -> "or" | Xor _ -> "xor"
+  | Ite _ -> "ite" | Flip _ -> "flip"
+
+let prop_random_programs =
+  QCheck.Test.make ~name:"random programs agree with dense tables across growth"
+    ~count:10
+    (QCheck.make gen_program ~print:(fun (seed, p) ->
+         Printf.sprintf "seed %d: %s" seed
+           (String.concat " " (List.map print_step p))))
+    (fun (seed, steps) ->
+      let m = Bdd.make_man ~nvars:prog_vars in
+      let ok, fs, tts = run_program m (seed, steps) in
+      (* The 16 seeds and the first 60 steps' functions, rebuilt
+         bottom-up through the unique table and by re-running their
+         steps through the cache, are the same handles after the tables
+         have been rebuilt. *)
+      let early = 16 + 60 in
+      let rebuilt = ref true in
+      for k = 0 to early - 1 do
+        if not (Bdd.equal (Bdd.of_bv m tts.(k)) fs.(k)) then rebuilt := false
+      done;
+      let _, fs', _ =
+        run_program m (seed, List.filteri (fun k _ -> k < 60) steps)
+      in
+      ok && !rebuilt && Array.for_all2 Bdd.equal fs' (Array.sub fs 0 early))
+
+(* Memoised walks share one mark array per manager.  Alternate the
+   four walks over different functions of one manager: a walk that
+   read a stale mark would pick up the previous walk's memo. *)
+
+let dense_size ~n tt =
+  (* ROBDD nodes labelled v are the distinct cofactors by variables
+     0..v-1 that depend on variable v. *)
+  let total = ref 0 in
+  for v = 0 to n - 1 do
+    let seen = Hashtbl.create 16 in
+    for a = 0 to (1 lsl v) - 1 do
+      let sub =
+        String.init (1 lsl (n - v)) (fun k ->
+            if Bv.get tt (a + (k lsl v)) then '1' else '0')
+      in
+      let depends = ref false in
+      for k = 0 to (1 lsl (n - v - 1)) - 1 do
+        if sub.[2 * k] <> sub.[(2 * k) + 1] then depends := true
+      done;
+      if !depends then Hashtbl.replace seen sub ()
+    done;
+    total := !total + Hashtbl.length seen
+  done;
+  !total
+
+let dense_support ~n tt =
+  List.filter
+    (fun v ->
+      List.exists
+        (fun mt -> Bv.get tt mt <> Bv.get tt (mt lxor (1 lsl v)))
+        (List.init (1 lsl n) Fun.id))
+    (List.init n Fun.id)
+
+let test_alternating_walks () =
+  let n = 7 in
+  let m = Bdd.make_man ~nvars:n in
+  let rng = Random.State.make [| 5 |] in
+  let tts =
+    Array.init 12 (fun k ->
+        Bv.random ~rng (1 lsl n) ~density:(0.1 +. (0.07 *. float_of_int k)))
+  in
+  (* Shared structure: each function also appears inside the next. *)
+  let fs = Array.map (Bdd.of_bv m) tts in
+  for k = 1 to Array.length fs - 1 do
+    fs.(k) <- Bdd.bor m fs.(k) (Bdd.band m fs.(k - 1) (Bdd.var m (k mod n)))
+  done;
+  let tts = Array.map (Bdd.to_bv m) fs in
+  for round = 0 to 7 do
+    Array.iteri
+      (fun k f ->
+        let tt = tts.(k) in
+        let what = Printf.sprintf "round %d f%d" round k in
+        match (round + k) mod 4 with
+        | 0 ->
+            Alcotest.(check (float 0.0))
+              (what ^ " satcount_float")
+              (float_of_int (Bv.cardinal tt))
+              (Bdd.satcount_float m f)
+        | 1 ->
+            let i = (round + (3 * k)) mod n in
+            check (what ^ " flip_var") true
+              (Bv.equal (Bdd.to_bv m (Bdd.flip_var m f i)) (dense_flip ~n tt i))
+        | 2 -> check_int (what ^ " size") (dense_size ~n tt) (Bdd.size m f)
+        | _ ->
+            Alcotest.(check (list int))
+              (what ^ " support") (dense_support ~n tt) (Bdd.support m f))
+      fs
+  done
+
+let core_cases =
+  [
+    QCheck_alcotest.to_alcotest prop_random_programs;
+    Alcotest.test_case "alternating memoised walks" `Quick
+      test_alternating_walks;
+  ]
+
+let suite = (fst suite, snd suite @ core_cases)

@@ -62,6 +62,22 @@ let test_iter_minterms () =
   let seen = List.sort compare !seen in
   Alcotest.(check (list int)) "minterms of 1-0" [ 0b001; 0b011 ] seen
 
+let test_of_masks () =
+  let cb = c "1-0" in
+  check "round trip" true
+    (Cube.equal cb (Cube.of_masks ~m0:(Cube.mask0 cb) ~m1:(Cube.mask1 cb)));
+  check_str "zero-variable cube" ""
+    (Cube.to_string ~n:0 (Cube.of_masks ~m0:0 ~m1:0));
+  (* Variables 0 and 1 would have the empty 00 encoding. *)
+  let rejects ~m0 ~m1 =
+    match Cube.of_masks ~m0 ~m1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "gap below the highest bit" true (rejects ~m0:4 ~m1:0);
+  check "gap between the masks" true (rejects ~m0:1 ~m1:4);
+  check "negative mask" true (rejects ~m0:(-1) ~m1:0)
+
 let gen_cube n =
   QCheck.Gen.(
     list_repeat n (oneofl [ Cube.Zero; Cube.One; Cube.Free ])
@@ -123,6 +139,7 @@ let suite =
       Alcotest.test_case "supercube" `Quick test_supercube;
       Alcotest.test_case "counts" `Quick test_counts;
       Alcotest.test_case "iter_minterms" `Quick test_iter_minterms;
+      Alcotest.test_case "of_masks keeps its contract" `Quick test_of_masks;
       QCheck_alcotest.to_alcotest prop_subsume_semantics;
       QCheck_alcotest.to_alcotest prop_intersect_semantics;
       QCheck_alcotest.to_alcotest prop_supercube_contains;
