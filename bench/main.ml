@@ -1,13 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (printed as aligned text tables), then runs
    bechamel micro-benchmarks of the core kernels.  Each section runs
-   three times — scalar engine, word-parallel kernel engine at one
-   job, kernel at N jobs — and the harness asserts all three produce
-   bit-identical results.  With --json FILE it also writes a JSON
-   record: per-section wall-clock for each leg, the engine and
-   parallel speedups, the identical-results verdicts, and a few key
-   result scalars — a machine-checkable regression record for CI.
-   Without --json nothing is written.
+   at one job and again at N jobs, and the harness asserts both runs
+   produce bit-identical results.  With --json FILE it also writes a
+   JSON record: per-section wall-clock for each run, the parallel
+   speedup, the identical-results verdict, and a few key result
+   scalars — a machine-checkable regression record for CI.  Without
+   --json nothing is written.
 
    Usage:
      dune exec bench/main.exe                  # everything, laptop-scale
@@ -22,15 +21,14 @@
    With --json, SIGINT/SIGTERM flushes the JSON with the sections
    finished so far and "interrupted": true.
 
-   Exits non-zero if any section's kernel results differ from the
-   scalar oracle, or its parallel results differ from sequential. *)
+   Exits non-zero if any section's parallel results differ from
+   sequential, or a correctness section reports a mismatch. *)
 
 module E = Rdca_flow.Experiments
 module T = Rdca_flow.Tablefmt
 module J = Rdca_json.Jsonout
 module Profjson = Rdca_json.Profjson
 module Pool = Parallel.Pool
-module K = Bitvec.Bv.Kernel
 module Interrupt = Resilient.Interrupt
 
 type table = { title : string; header : string list; rows : string list list }
@@ -88,7 +86,7 @@ let run_table1 ~full:_ () =
 
 let run_fig2 ~full () =
   (* Per-task splittable streams are keyed off this seed, so every
-     engine/job-count leg reproduces the same functions. *)
+     job-count run reproduces the same functions. *)
   let per_target = if full then 10 else 3 in
   let rows = E.fig2 ~per_target ~seed:2011 () in
   {
@@ -118,17 +116,17 @@ let run_fig2 ~full () =
   }
 
 (* The fraction sweep feeds both fig4 and fig5; cache it per
-   (full, jobs, engine) key — the laptop and --full grids differ, and
-   the harness deliberately re-runs each section per engine and job
-   count, so any ingredient changing must invalidate the cache. *)
+   (full, jobs) key — the laptop and --full grids differ, and the
+   harness deliberately re-runs each section per job count, so any
+   ingredient changing must invalidate the cache. *)
 let sweep_fractions ~full =
   if full then Array.init 11 (fun i -> float_of_int i /. 10.0)
   else [| 0.0; 0.2; 0.4; 0.6; 0.8; 1.0 |]
 
-let sweep_cache : ((bool * int * bool) * E.sweep_row list) list ref = ref []
+let sweep_cache : ((bool * int) * E.sweep_row list) list ref = ref []
 
 let get_sweep ~full () =
-  let key = (full, Pool.jobs (Pool.shared ()), K.use ()) in
+  let key = (full, Pool.jobs (Pool.shared ())) in
   match List.assoc_opt key !sweep_cache with
   | Some s -> s
   | None ->
@@ -466,9 +464,9 @@ let run_nodal ~full:_ () =
    implementation audit: cover check, netlist structure, care-set
    equivalence with both the exhaustive and the BDD engine).  The
    diagnostics land in the outcome table, so the harness's signature
-   comparison doubles as the differential guard that the kernel and
-   scalar checker engines — and the two equivalence engines — report
-   identically. *)
+   comparison doubles as the guard that the audit reports identically
+   at one and N jobs; the BDD equivalence engine's diagnostics are
+   recorded beside the exhaustive engine's. *)
 
 let run_check_ex1010 ~full:_ () =
   let module Flow = Rdca_flow.Flow in
@@ -517,9 +515,9 @@ let run_check_ex1010 ~full:_ () =
 
 (* ------------------------------------------------------------------ *)
 (* The error-rate/bounds inner loop on the largest suite benchmark,
-   repeated so the scalar leg is long enough to time reliably: its
-   kernel-vs-scalar speedup is the headline number of the
-   word-parallel engine. *)
+   repeated 100 times so one run is long enough to time.  The kernel's
+   speed-up over the scalar oracle is measured in the micro section
+   ("exact bounds ex1010" against its "(scalar oracle)" entry). *)
 
 let run_errbounds ~full:_ () =
   let module ER = Reliability.Error_rate in
@@ -575,6 +573,10 @@ let run_micro ~full:_ () =
                Rdca_core.Assign.by_complexity ~threshold:0.55 spec));
         Test.make ~name:"exact bounds ex1010"
           (Staged.stage (fun () -> Reliability.Error_rate.mean_bounds spec));
+        Test.make ~name:"exact bounds ex1010 (scalar oracle)"
+          (Staged.stage (fun () ->
+               Array.init (Pla.Spec.no spec) (fun o ->
+                   Reliability.Error_rate.bounds_scalar spec ~o)));
         Test.make ~name:"border estimate ex1010"
           (Staged.stage (fun () -> Reliability.Estimate.mean_border_based spec));
         Test.make ~name:"bdd of cover (o0)"
@@ -659,7 +661,7 @@ let median_timed ~what ~same f =
    cube-level specs) the symbolic and sampled backends check each
    other.  Any disagreement feeds the harness mismatch list, so the
    cross-backend contract gates the exit code like the
-   kernel-vs-scalar one. *)
+   sequential-vs-parallel one. *)
 
 let run_backends ~full () =
   let module A = Reliability.Analysis in
@@ -964,10 +966,9 @@ let run_testability ~full:_ () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Driver: run each requested section three times — scalar engine at
-   one job, kernel engine at one job, and (when --jobs > 1) kernel at
-   N jobs — check all runs produce identical results, and record the
-   engine and parallel speedups. *)
+(* Driver: run each requested section at one job and (when --jobs > 1)
+   at N jobs, check both runs produce identical results, and record the
+   parallel speedup. *)
 
 type section = {
   sec_name : string;
@@ -1000,52 +1001,33 @@ let print_outcome o =
     o.tables
 
 let exec_section ~jobs ~full s =
-  (* Each leg also diffs the profiling instruments around itself, so
-     the schema-v4 JSON can attribute that leg's wall clock to named
-     spans (empty unless --profile / RDCA_PROF; the always-on event
-     counters appear regardless). *)
-  let run ~kernel ~jobs:j =
+  (* Each run also diffs the profiling instruments around itself, so
+     the JSON can attribute that run's wall clock to named spans (empty
+     unless --profile / RDCA_PROF; the always-on event counters appear
+     regardless). *)
+  let run ~jobs:j =
     let before = Prof.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let r = Pool.with_jobs j (fun () -> K.with_mode kernel (s.build ~full)) in
+    let r = Pool.with_jobs j (s.build ~full) in
     let dt = Unix.gettimeofday () -. t0 in
     (dt, Prof.diff ~before ~after:(Prof.snapshot ()), r)
   in
   let pool_before = Pool.stats () in
-  (* Leg 1: scalar oracle (timing-noise sections skip it). *)
-  let ts, os =
-    if s.dual then
-      let ts, _, os = run ~kernel:false ~jobs:1 in
-      (ts, Some os)
-    else (0.0, None)
-  in
-  (* Leg 2: word-parallel kernel, single-threaded. *)
-  let t1, d1, o1 = run ~kernel:true ~jobs:1 in
-  let identical_engine =
-    match os with Some os -> signature os = signature o1 | None -> true
-  in
-  (* Leg 3: kernel at N worker domains. *)
+  let t1, d1, o1 = run ~jobs:1 in
   let tn, dn, on, identical_jobs =
     if s.dual && jobs > 1 then begin
-      let tn, dn, on = run ~kernel:true ~jobs in
+      let tn, dn, on = run ~jobs in
       (tn, dn, on, signature o1 = signature on)
     end
     else (t1, d1, o1, true)
   in
   print_outcome on;
-  let speedup_kernel = if s.dual && t1 > 0.0 then ts /. t1 else 1.0 in
   let speedup_jobs = if tn > 0.0 then t1 /. tn else 1.0 in
-  if s.dual then
-    Printf.printf
-      "[%s: scalar %.2fs, kernel %.2fs (%.2fx)%s%s]\n%!" s.sec_name ts t1
-      speedup_kernel
-      (if jobs > 1 then
-         Printf.sprintf ", %.2fs at %d jobs (%.2fx)" tn jobs speedup_jobs
-       else "")
-      (if identical_engine && identical_jobs then ""
-       else "; RESULTS DIFFER")
+  if s.dual && jobs > 1 then
+    Printf.printf "[%s: %.2fs at 1 job, %.2fs at %d jobs (%.2fx)%s]\n%!"
+      s.sec_name t1 tn jobs speedup_jobs
+      (if identical_jobs then "" else "; RESULTS DIFFER")
   else Printf.printf "[%s finished in %.2fs]\n%!" s.sec_name t1;
-  if not identical_engine then mismatches := (s.sec_name ^ " [engine]") :: !mismatches;
   if not identical_jobs then mismatches := (s.sec_name ^ " [jobs]") :: !mismatches;
   let profile_fields =
     if not (Prof.enabled ()) then []
@@ -1059,14 +1041,10 @@ let exec_section ~jobs ~full s =
   J.Obj
     ([
        ("name", J.String s.sec_name);
-       ("seconds_scalar", J.Float ts);
        ("seconds_jobs1", J.Float t1);
        ("seconds_jobsN", J.Float tn);
-       ("speedup_kernel", J.Float speedup_kernel);
        ("speedup", J.Float speedup_jobs);
-       ("scalar_run", J.Bool s.dual);
        ("dual_run", J.Bool (s.dual && jobs > 1));
-       ("identical_engine", J.Bool identical_engine);
        ("identical", J.Bool identical_jobs);
        ("pool", Profjson.pool_delta ~before:pool_before ~after:(Pool.stats ()));
      ]
@@ -1123,7 +1101,7 @@ let () =
     J.write_file path
       (J.Obj
          [
-           ("schema_version", J.Int 4);
+           ("schema_version", J.Int 5);
            ("jobs", J.Int !jobs);
            ("cores_detected", J.Int (Domain.recommended_domain_count ()));
            ("profile", J.Bool (Prof.enabled ()));
@@ -1160,6 +1138,6 @@ let () =
   match !mismatches with
   | [] -> ()
   | ms ->
-      Printf.eprintf "bench: scalar/kernel/parallel results differ in: %s\n"
+      Printf.eprintf "bench: results differ in: %s\n"
         (String.concat ", " (List.rev ms));
       exit 1

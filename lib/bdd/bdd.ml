@@ -177,29 +177,6 @@ let band m a b = ite m a b 0
 let bor m a b = ite m a 1 b
 let bxor m a b = ite m a (ite m b 0 1) b
 
-let rec restrict m f ~var:v ~value =
-  if m.var_of.(f) > v then f
-  else if m.var_of.(f) = v then if value then m.high_of.(f) else m.low_of.(f)
-  else
-    let fv = m.var_of.(f) in
-    mk m fv
-      (restrict m m.low_of.(f) ~var:v ~value)
-      (restrict m m.high_of.(f) ~var:v ~value)
-
-let exists m vars f =
-  List.fold_left
-    (fun f v ->
-      bor m (restrict m f ~var:v ~value:false) (restrict m f ~var:v ~value:true))
-    f vars
-
-let forall m vars f =
-  List.fold_left
-    (fun f v ->
-      band m
-        (restrict m f ~var:v ~value:false)
-        (restrict m f ~var:v ~value:true))
-    f vars
-
 let rec eval_minterm m f mt =
   if f <= 1 then f = 1
   else if mt land (1 lsl m.var_of.(f)) <> 0 then

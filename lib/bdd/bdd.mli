@@ -74,15 +74,6 @@ val is_zero : man -> t -> bool
 
 val is_one : man -> t -> bool
 
-(** [restrict man f ~var ~value] is the cofactor of [f]. *)
-val restrict : man -> t -> var:int -> value:bool -> t
-
-(** [exists man vars f] existentially quantifies the listed variables. *)
-val exists : man -> int list -> t -> t
-
-(** [forall man vars f] universally quantifies the listed variables. *)
-val forall : man -> int list -> t -> t
-
 (** [eval_minterm man f m] evaluates on the minterm encoding [m]
     (bit [i] of [m] = variable [i]).  Read-only: safe to call from
     several domains at once. *)

@@ -165,20 +165,7 @@ let pp ppf t =
 (* ------------------------------------------------------------------ *)
 
 module Kernel = struct
-  (* The word-parallel engine is on unless RDCA_KERNEL=off|0|false asks
-     for the scalar oracle — the hook CI's engine matrix flips. *)
-  let enabled =
-    ref
-      (match Sys.getenv_opt "RDCA_KERNEL" with
-      | Some ("off" | "0" | "false" | "scalar") -> false
-      | _ -> true)
-
-  let use () = !enabled
-
-  let with_mode mode f =
-    let prev = !enabled in
-    enabled := mode;
-    Fun.protect ~finally:(fun () -> enabled := prev) f
+  let enabled = ref true
 
   (* [index_mask ~len ~j] has bit m set iff bit [j] of the index [m] is
      zero — the periodic selector the neighbour shift needs.  Built

@@ -102,22 +102,16 @@ val pp : Format.formatter -> t -> unit
     so n-way counting costs O(n log n) vector passes instead of
     O(n 2^n) scalar probes.
 
-    Every consumer of these kernels keeps its scalar implementation as
-    a reference oracle; {!enabled} switches between the two engines and
-    the differential tests assert bit-identical results. *)
+    These kernels are the only engine behind the neighbour-space
+    metrics.  Each consumer keeps a scalar reference implementation
+    (the [*_scalar] exports and the per-minterm functions) that the
+    differential tests compare against bit for bit; no run-time switch
+    selects it. *)
 module Kernel : sig
-  (** Engine toggle, [true] by default; starting value honours the
-      [RDCA_KERNEL] environment variable ([off]/[0]/[false]/[scalar]
-      select the scalar oracle).  Flip only around sequential sections
-      (the bench harness' scalar runs); readers do not synchronise. *)
+  (** Always [true].  Nothing in the library reads it: it remains only
+      for the benchmark's provenance line, which prints it, and goes
+      with the next change to the benchmark. *)
   val enabled : bool ref
-
-  (** [use ()] is [!enabled]. *)
-  val use : unit -> bool
-
-  (** [with_mode m f] runs [f] with [enabled := m], restoring the
-      previous engine afterwards (also on exceptions). *)
-  val with_mode : bool -> (unit -> 'a) -> 'a
 
   (** [neighbor ~j t] is [r] with [r.(m) = t.(m lxor 2^j)].
       @raise Invalid_argument unless [length t] is a positive multiple

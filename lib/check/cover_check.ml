@@ -4,7 +4,7 @@ module K = Bitvec.Bv.Kernel
 module Cover = Twolevel.Cover
 module Cube = Twolevel.Cube
 
-let coverage_counts_kernel ~spec ~o cover =
+let coverage_counts ~spec ~o cover =
   let on, off, _ = Spec.phase_planes spec ~o in
   let cbv = Cover.to_bv cover in
   let missing = K.popcount_and on (Bv.complement cbv) in
@@ -22,10 +22,6 @@ let coverage_counts_scalar ~spec ~o cover =
     | Spec.Dc -> ()
   done;
   (!missing, !hits)
-
-let coverage_counts ~spec ~o cover =
-  if K.use () then coverage_counts_kernel ~spec ~o cover
-  else coverage_counts_scalar ~spec ~o cover
 
 (* First set bit of [bv] not covered/covered evidence for messages. *)
 let first_set bv =

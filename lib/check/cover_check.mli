@@ -3,23 +3,19 @@
     A cover produced for output [o] of a spec is correct when it
     contains every on-set minterm and no off-set minterm (DC minterms
     may fall either way).  {!check_cover} proves both properties by
-    dense bit-set algebra over the spec's cached phase planes — fused
-    {!Bitvec.Bv.Kernel} popcounts under the kernel engine, a scalar
-    [Cover.eval] sweep otherwise — and additionally flags redundant
+    dense bit-set algebra over the spec's cached phase planes (fused
+    {!Bitvec.Bv.Kernel} popcounts) and additionally flags redundant
     structure: cubes contained in a single other cube, and cubes
-    covered by the rest of the cover plus the DC-set.
-
-    The two engines are differentially tested: {!coverage_counts_kernel}
-    and {!coverage_counts_scalar} must agree exactly on every input. *)
+    covered by the rest of the cover plus the DC-set. *)
 
 (** [(uncovered_on, off_hits)]: on-set minterms the cover misses, and
     off-set minterms it wrongly contains. *)
 val coverage_counts :
   spec:Pla.Spec.t -> o:int -> Twolevel.Cover.t -> int * int
 
-val coverage_counts_kernel :
-  spec:Pla.Spec.t -> o:int -> Twolevel.Cover.t -> int * int
-
+(** The scalar reference implementation of {!coverage_counts}, a
+    [Cover.eval] sweep: the oracle the differential tests compare
+    against. *)
 val coverage_counts_scalar :
   spec:Pla.Spec.t -> o:int -> Twolevel.Cover.t -> int * int
 

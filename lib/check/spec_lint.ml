@@ -2,10 +2,9 @@ module Spec = Pla.Spec
 module Bv = Bitvec.Bv
 module K = Bitvec.Bv.Kernel
 
-(* Does any output's phase depend on input [j]?  Kernel: the phase
-   planes must be invariant under the neighbour permutation m -> m xor
-   2^j.  Scalar: probe the byte table. *)
-let input_used_kernel spec j =
+(* Does any output's phase depend on input [j]?  The phase planes must
+   be invariant under the neighbour permutation m -> m xor 2^j. *)
+let input_used spec j =
   let no = Spec.no spec in
   let rec loop o =
     if o >= no then false
@@ -19,46 +18,15 @@ let input_used_kernel spec j =
   in
   loop 0
 
-let input_used_scalar spec j =
-  let size = Spec.size spec and no = Spec.no spec in
-  let bit = 1 lsl j in
-  let rec outputs o =
-    if o >= no then false
-    else
-      let rec minterms m =
-        if m >= size then false
-        else if
-          m land bit = 0 && Spec.get spec ~o ~m <> Spec.get spec ~o ~m:(m lxor bit)
-        then true
-        else minterms (m + 1)
-      in
-      if minterms 0 then true else outputs (o + 1)
-  in
-  outputs 0
-
-let input_used spec j =
-  if K.use () then input_used_kernel spec j else input_used_scalar spec j
-
 let unused_inputs spec =
   List.filter
     (fun j -> not (input_used spec j))
     (List.init (Spec.ni spec) Fun.id)
 
 let outputs_equal spec o1 o2 =
-  if K.use () then begin
-    let on1, off1, _ = Spec.phase_planes spec ~o:o1 in
-    let on2, off2, _ = Spec.phase_planes spec ~o:o2 in
-    Bv.equal on1 on2 && Bv.equal off1 off2
-  end
-  else begin
-    let size = Spec.size spec in
-    let rec loop m =
-      if m >= size then true
-      else if Spec.get spec ~o:o1 ~m <> Spec.get spec ~o:o2 ~m then false
-      else loop (m + 1)
-    in
-    loop 0
-  end
+  let on1, off1, _ = Spec.phase_planes spec ~o:o1 in
+  let on2, off2, _ = Spec.phase_planes spec ~o:o2 in
+  Bv.equal on1 on2 && Bv.equal off1 off2
 
 let lint spec =
   let ni = Spec.ni spec and no = Spec.no spec in

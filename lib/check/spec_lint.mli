@@ -8,11 +8,9 @@
     terms (an error: the function is inconsistent), contradictory
     care/DC assertions, and duplicate term lines.
 
-    Engine: the input-dependence and duplicate-output scans run on the
-    cached {!Pla.Spec.phase_planes} through {!Bitvec.Bv.Kernel} when
-    the kernel engine is enabled, and as scalar byte-table sweeps
-    otherwise; both produce identical diagnostics (differentially
-    tested). *)
+    The input-dependence and duplicate-output scans run on the cached
+    {!Pla.Spec.phase_planes} through {!Bitvec.Bv.Kernel}; the tests
+    check them against per-minterm {!Pla.Spec.get} probes. *)
 
 (** [unused_inputs spec] is the ascending list of input variables no
     output depends on (phases included: an input that only reshuffles

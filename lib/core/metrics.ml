@@ -14,10 +14,9 @@ let expected_complexity_factor = Reliability.Borders.expected_complexity_factor
 let local_complexity_factor = Reliability.Borders.local_complexity_factor
 let local_complexity_factors = Reliability.Borders.local_complexity_factors
 
-(* The weights come from one batched neighbour count over the whole
-   minterm space ([Spec.neighbour_counts_batch] dispatches to the
-   word-parallel kernel or the scalar sweep); {!weight} remains the
-   per-minterm oracle. *)
+(* The weights come from one batched, word-parallel neighbour count
+   over the whole minterm space ([Spec.neighbour_counts_batch]);
+   {!weight} remains the per-minterm oracle. *)
 let dc_ranking spec ~o =
   let on, off, _ = Spec.neighbour_counts_batch spec ~o in
   let ranked = ref [] in

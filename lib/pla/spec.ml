@@ -114,20 +114,9 @@ let phase_planes t ~o =
   let p = planes t ~o in
   (p.p_on, p.p_off, p.p_dc)
 
-let count_phase_scalar t ~o p =
-  let c = phase_to_char p in
-  let table = t.tables.(o) in
-  let acc = ref 0 in
-  Bytes.iter (fun ch -> if ch = c then incr acc) table;
-  !acc
+let plane_of pl = function On -> pl.p_on | Off -> pl.p_off | Dc -> pl.p_dc
 
-let count_phase t ~o p =
-  if o < 0 || o >= t.no then invalid_arg "Spec: output out of range";
-  if Bv.Kernel.use () then
-    let pl = planes t ~o in
-    Bv.cardinal
-      (match p with On -> pl.p_on | Off -> pl.p_off | Dc -> pl.p_dc)
-  else count_phase_scalar t ~o p
+let count_phase t ~o p = Bv.cardinal (plane_of (planes t ~o) p)
 
 let on_count t ~o = count_phase t ~o On
 let off_count t ~o = count_phase t ~o Off
@@ -159,16 +148,7 @@ let iter_dc t ~o f =
   let dc = phase_to_char Dc in
   Bytes.iteri (fun m c -> if c = dc then f m) t.tables.(o)
 
-let phase_bv t ~o p =
-  if Bv.Kernel.use () then
-    let pl = planes t ~o in
-    Bv.copy (match p with On -> pl.p_on | Off -> pl.p_off | Dc -> pl.p_dc)
-  else begin
-    let c = phase_to_char p in
-    let bv = Bv.create (size t) in
-    Bytes.iteri (fun m ch -> if ch = c then Bv.set bv m) t.tables.(o);
-    bv
-  end
+let phase_bv t ~o p = Bv.copy (plane_of (planes t ~o) p)
 
 let on_bv t ~o = phase_bv t ~o On
 let off_bv t ~o = phase_bv t ~o Off
@@ -215,51 +195,37 @@ let neighbour_counts t ~o ~m =
   done;
   (!on, !off, !dc)
 
-(* Per-minterm neighbour counts for the whole 2^n space at once.
-   Kernel engine: n bit-sliced additions of permuted phase planes —
-   O(n log n) vector passes instead of O(n 2^n) byte probes.  DC
-   counts follow from on + off + dc = n. *)
+(* Per-minterm neighbour counts for the whole 2^n space at once:
+   n bit-sliced additions of permuted phase planes — O(n log n) vector
+   passes instead of O(n 2^n) byte probes.  DC counts follow from
+   on + off + dc = n.  With no inputs the sweep adds nothing, so every
+   count is 0. *)
 let neighbour_counts_batch t ~o =
-  if o < 0 || o >= t.no then invalid_arg "Spec: output out of range";
+  let module K = Bv.Kernel in
+  let pl = planes t ~o in
   let len = size t in
-  if Bv.Kernel.use () && t.ni > 0 then begin
-    let module K = Bv.Kernel in
-    let pl = planes t ~o in
-    let bits = 5 (* counts <= ni <= 20 < 32 *) in
-    let on_c = K.counter_create ~len ~bits
-    and off_c = K.counter_create ~len ~bits in
-    ignore
-      (K.neighbour_sweep ~nj:t.ni
-         [|
-           {
-             K.sw_src = pl.p_on;
-             sw_diff = false;
-             sw_counter = Some on_c;
-             sw_cross = None;
-           };
-           {
-             K.sw_src = pl.p_off;
-             sw_diff = false;
-             sw_counter = Some off_c;
-             sw_cross = None;
-           };
-         |]);
-    let on = K.counter_extract on_c and off = K.counter_extract off_c in
-    let dc = Array.init len (fun m -> t.ni - on.(m) - off.(m)) in
-    (on, off, dc)
-  end
-  else begin
-    let on = Array.make len 0
-    and off = Array.make len 0
-    and dc = Array.make len 0 in
-    for m = 0 to len - 1 do
-      let o_, f_, d_ = neighbour_counts t ~o ~m in
-      on.(m) <- o_;
-      off.(m) <- f_;
-      dc.(m) <- d_
-    done;
-    (on, off, dc)
-  end
+  let bits = 5 (* counts <= ni <= 20 < 32 *) in
+  let on_c = K.counter_create ~len ~bits
+  and off_c = K.counter_create ~len ~bits in
+  ignore
+    (K.neighbour_sweep ~nj:t.ni
+       [|
+         {
+           K.sw_src = pl.p_on;
+           sw_diff = false;
+           sw_counter = Some on_c;
+           sw_cross = None;
+         };
+         {
+           K.sw_src = pl.p_off;
+           sw_diff = false;
+           sw_counter = Some off_c;
+           sw_cross = None;
+         };
+       |]);
+  let on = K.counter_extract on_c and off = K.counter_extract off_c in
+  let dc = Array.init len (fun m -> t.ni - on.(m) - off.(m)) in
+  (on, off, dc)
 
 let on_neighbours t ~o ~m =
   let on, _, _ = neighbour_counts t ~o ~m in

@@ -42,9 +42,8 @@ val copy : t -> t
 (** [equal a b] is structural equality of dimensions and phases. *)
 val equal : t -> t -> bool
 
-(** Phase counts for output [o].  With the kernel engine enabled these
-    are popcounts of the cached phase planes; the scalar engine scans
-    the byte table (the original behaviour, kept as oracle). *)
+(** Phase counts for output [o]: popcounts of the cached phase
+    planes. *)
 
 val count_phase : t -> o:int -> phase -> int
 
@@ -117,9 +116,9 @@ val dc_neighbours : t -> o:int -> m:int -> int
 val neighbour_counts : t -> o:int -> m:int -> int * int * int
 
 (** [neighbour_counts_batch t ~o] is the per-minterm [(on, off, dc)]
-    neighbour counts for the whole [2^ni] space at once — bit-sliced
-    word-parallel counting under the kernel engine, a scalar
-    {!neighbour_counts} sweep otherwise (the oracle). *)
+    neighbour counts for the whole [2^ni] space at once, by bit-sliced
+    word-parallel counting; {!neighbour_counts} at every minterm is its
+    oracle.  With no inputs each array is [[|0|]]. *)
 val neighbour_counts_batch : t -> o:int -> int array * int array * int array
 
 (** [output_value t ~o ~m] is the implementation value of a *fully

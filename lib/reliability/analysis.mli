@@ -5,8 +5,8 @@
     in three engines:
 
     - [Exhaustive]: the dense 2^n sweeps of {!Error_rate} and
-      {!Borders} (word-parallel kernel or scalar oracle), available
-      while a dense {!Pla.Spec.t} exists (n <= 20);
+      {!Borders} (word-parallel kernels), available while a dense
+      {!Pla.Spec.t} exists (n <= 20);
     - [Bdd_exact]: fully symbolic evaluation over structural BDDs —
       satcounts of flipped-input miters for rates and borders,
       {!Sym.min_max_dc}'s difference-counting network for the exact

@@ -4,8 +4,8 @@ module K = Bv.Kernel
 
 let ordered_pairs spec = Spec.ni spec * Spec.size spec
 
-(* Scalar engine, kept as the reference oracle for the word-parallel
-   kernels below. *)
+(* The reference oracle for the word-parallel [same_phase_pairs]
+   below. *)
 let same_phase_pairs_scalar spec ~o =
   let n = Spec.ni spec in
   let count = ref 0 in
@@ -20,7 +20,7 @@ let same_phase_pairs_scalar spec ~o =
 (* Per-phase same-phase pair counts: for each phase plane P,
    sum over j of |P /\ N_j P| — the quantity shared by
    [same_phase_pairs] and [border_counts]. *)
-let same_counts_kernel spec ~o =
+let same_counts spec ~o =
   let n = Spec.ni spec in
   let on, off, dc = Spec.phase_planes spec ~o in
   let op p =
@@ -30,11 +30,8 @@ let same_counts_kernel spec ~o =
   (accs.(0), accs.(1), accs.(2))
 
 let same_phase_pairs spec ~o =
-  if K.use () then begin
-    let s_on, s_off, s_dc = same_counts_kernel spec ~o in
-    s_on + s_off + s_dc
-  end
-  else same_phase_pairs_scalar spec ~o
+  let s_on, s_off, s_dc = same_counts spec ~o in
+  s_on + s_off + s_dc
 
 let complexity_factor spec ~o =
   let same = same_phase_pairs spec ~o in
@@ -86,36 +83,33 @@ let local_complexity_factor spec ~o ~m =
      LC^f(m) = (1/n^2) * sum over j of S(m lxor 2^j):
    build S once as a bit-sliced counter (n fused plane operations),
    then accumulate its n neighbour permutations into a wider counter.
-   Integer arithmetic throughout, so bit-identical to the scalar
-   oracle sweep. *)
-let local_complexity_factors_kernel spec ~o =
-  let n = Spec.ni spec in
-  let len = Spec.size spec in
-  let on, off, dc = Spec.phase_planes spec ~o in
-  let s = K.counter_create ~len ~bits:5 (* S <= n <= 20 < 32 *) in
-  for k = 0 to n - 1 do
-    let same = Bv.inter on (K.neighbor ~j:k on) in
-    Bv.union_in_place same (Bv.inter off (K.neighbor ~j:k off));
-    Bv.union_in_place same (Bv.inter dc (K.neighbor ~j:k dc));
-    K.counter_add_bit s same
-  done;
-  let t = K.counter_create ~len ~bits:9 (* T <= n^2 <= 400 < 512 *) in
-  for j = 0 to n - 1 do
-    K.counter_add t (K.counter_neighbor ~j s)
-  done;
-  let sums = K.counter_extract t in
-  let nn = float_of_int (n * n) in
-  Array.map (fun c -> float_of_int c /. nn) sums
-
+   Integer arithmetic throughout, so bit-identical to
+   [local_complexity_factor] at every minterm.  A 0-input function is
+   constant, hence trivially regular. *)
 let local_complexity_factors spec ~o =
   let n = Spec.ni spec in
   if n = 0 then begin
     if o < 0 || o >= Spec.no spec then invalid_arg "Spec: output out of range";
     [| 1.0 |]
   end
-  else if K.use () then local_complexity_factors_kernel spec ~o
-  else
-    Array.init (Spec.size spec) (fun m -> local_complexity_factor spec ~o ~m)
+  else begin
+    let len = Spec.size spec in
+    let on, off, dc = Spec.phase_planes spec ~o in
+    let s = K.counter_create ~len ~bits:5 (* S <= n <= 20 < 32 *) in
+    for k = 0 to n - 1 do
+      let same = Bv.inter on (K.neighbor ~j:k on) in
+      Bv.union_in_place same (Bv.inter off (K.neighbor ~j:k off));
+      Bv.union_in_place same (Bv.inter dc (K.neighbor ~j:k dc));
+      K.counter_add_bit s same
+    done;
+    let t = K.counter_create ~len ~bits:9 (* T <= n^2 <= 400 < 512 *) in
+    for j = 0 to n - 1 do
+      K.counter_add t (K.counter_neighbor ~j s)
+    done;
+    let sums = K.counter_extract t in
+    let nn = float_of_int (n * n) in
+    Array.map (fun c -> float_of_int c /. nn) sums
+  end
 
 type counts = { b0 : int; b1 : int; bdc : int }
 
@@ -138,14 +132,11 @@ let border_counts_scalar spec ~o =
 (* Each minterm of a phase set has n neighbours; those not in the same
    set are exactly the border pairs, so b_P = n*|P| - same_P. *)
 let border_counts spec ~o =
-  if K.use () then begin
-    let n = Spec.ni spec in
-    let on, off, dc = Spec.phase_planes spec ~o in
-    let s_on, s_off, s_dc = same_counts_kernel spec ~o in
-    {
-      b0 = (n * Bv.cardinal off) - s_off;
-      b1 = (n * Bv.cardinal on) - s_on;
-      bdc = (n * Bv.cardinal dc) - s_dc;
-    }
-  end
-  else border_counts_scalar spec ~o
+  let n = Spec.ni spec in
+  let on, off, dc = Spec.phase_planes spec ~o in
+  let s_on, s_off, s_dc = same_counts spec ~o in
+  {
+    b0 = (n * Bv.cardinal off) - s_off;
+    b1 = (n * Bv.cardinal on) - s_on;
+    bdc = (n * Bv.cardinal dc) - s_dc;
+  }

@@ -2,9 +2,9 @@
 
     All quantities are per output; [mean_*] helpers average across the
     outputs of a multi-output specification.  Pair-counting entry
-    points dispatch to the word-parallel kernel engine
-    ({!Bitvec.Bv.Kernel.enabled}) or the scalar oracle; the two
-    engines are bit-identical. *)
+    points run on the word-parallel {!Bitvec.Bv.Kernel}; each keeps a
+    scalar oracle that the differential tests compare against bit for
+    bit. *)
 
 (** [complexity_factor spec ~o] is the normalised complexity factor
     C^f: the fraction of ordered 1-Hamming-distance minterm pairs that
@@ -26,9 +26,8 @@ val mean_expected_complexity_factor : Pla.Spec.t -> float
 val local_complexity_factor : Pla.Spec.t -> o:int -> m:int -> float
 
 (** [local_complexity_factors spec ~o] is LC^f for the whole [2^ni]
-    space at once — bit-sliced word-parallel counting under the kernel
-    engine, a {!local_complexity_factor} sweep otherwise (the
-    oracle). *)
+    space at once, by bit-sliced word-parallel counting;
+    {!local_complexity_factor} at every minterm is its oracle. *)
 val local_complexity_factors : Pla.Spec.t -> o:int -> float array
 
 (** Border counts: ordered pairs (x_i, x_j) at Hamming distance 1 with
@@ -37,8 +36,8 @@ type counts = { b0 : int; b1 : int; bdc : int }
 
 val border_counts : Pla.Spec.t -> o:int -> counts
 
-(** The scalar reference implementation of {!border_counts}, regardless
-    of the engine toggle (the oracle). *)
+(** The scalar reference implementation of {!border_counts} (the
+    oracle). *)
 val border_counts_scalar : Pla.Spec.t -> o:int -> counts
 
 (** Invariant used in tests: [1 - C^f] equals

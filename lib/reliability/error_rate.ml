@@ -8,9 +8,9 @@ let events ~n = float_of_int (n * (1 lsl n))
    all; the rate of an empty event space is 0, not 0/0. *)
 let rate ~n count = if n = 0 then 0.0 else float_of_int count /. events ~n
 
-(* Scalar engine, kept as the reference oracle for the word-parallel
-   kernel below.  The single range check at entry licenses the
-   unchecked bit reads in the loop. *)
+(* The reference oracle for the word-parallel [of_table] below.  The
+   single range check at entry licenses the unchecked bit reads in the
+   loop. *)
 let of_table_scalar spec ~o ~impl =
   let n = Spec.ni spec in
   let size = Spec.size spec in
@@ -27,10 +27,10 @@ let of_table_scalar spec ~o ~impl =
   done;
   rate ~n !count
 
-(* Word-parallel engine: an event (m, j) propagates iff bit m of
-   [neighbor_diff ~j impl] is set, so the per-output count is n fused
-   popcounts over the care set — tiled into one cache-blocked sweep. *)
-let of_table_kernel spec ~o ~impl =
+(* An event (m, j) propagates iff bit m of [neighbor_diff ~j impl] is
+   set, so the per-output count is n fused popcounts over the care set
+   — tiled into one cache-blocked sweep. *)
+let of_table spec ~o ~impl =
   let n = Spec.ni spec in
   if Bv.length impl <> Spec.size spec then
     invalid_arg "Error_rate.of_table: length";
@@ -51,10 +51,6 @@ let of_table_kernel spec ~o ~impl =
     in
     rate ~n accs.(0)
   end
-
-let of_table spec ~o ~impl =
-  if K.use () then of_table_kernel spec ~o ~impl
-  else of_table_scalar spec ~o ~impl
 
 (* Per-output rates are independent, so the mean is computed by a
    parallel map over outputs followed by a sequential fold in output
@@ -109,14 +105,14 @@ let bounds_scalar spec ~o =
   end
 
 (* Word-parallel bounds.  The base term pairs an on-minterm with an
-   off-neighbour (both directions, like the scalar loop).  The DC
+   off-neighbour (both directions, like the scalar oracle).  The DC
    terms need per-minterm neighbour counts: with bit-sliced counters,
      sum over DC of min(on, off) = (S - A) / 2
      sum over DC of max(on, off) = (S + A) / 2
    where S sums on + off and A sums |on - off| over the DC set — all
    exact integer arithmetic, so the result is bit-identical to the
    scalar oracle. *)
-let bounds_kernel spec ~o =
+let bounds spec ~o =
   let n = Spec.ni spec in
   if n = 0 then zero_bounds
   else begin
@@ -158,9 +154,6 @@ let bounds_kernel spec ~o =
     }
   end
 
-let bounds spec ~o =
-  if K.use () then bounds_kernel spec ~o else bounds_scalar spec ~o
-
 let mean_bounds spec =
   let no = Spec.no spec in
   let per_output = Parallel.Pool.init no (fun o -> bounds spec ~o) in
@@ -181,20 +174,9 @@ let min_rate b = b.base +. b.min_dc
 let max_rate b = b.base +. b.max_dc
 
 let impl_table assigned ~o =
-  if K.use () then begin
-    let on, _, dc = Spec.phase_planes assigned ~o in
-    if not (Bv.is_empty dc) then
-      invalid_arg "Spec.output_value: unassigned DC";
-    Bv.copy on
-  end
-  else begin
-    let size = Spec.size assigned in
-    let impl = Bv.create size in
-    for m = 0 to size - 1 do
-      if Spec.output_value assigned ~o ~m then Bv.unsafe_set impl m
-    done;
-    impl
-  end
+  let on, _, dc = Spec.phase_planes assigned ~o in
+  if not (Bv.is_empty dc) then invalid_arg "Spec.output_value: unassigned DC";
+  Bv.copy on
 
 let of_spec_assigned spec ~o = of_table spec ~o ~impl:(impl_table spec ~o)
 

@@ -11,15 +11,12 @@
 
 (** Per-output error rate of an implementation table [impl] (the
     dense function actually synthesised) against the care set of
-    [spec]'s output [o].  Dispatches to the word-parallel kernel
-    engine ({!Bitvec.Bv.Kernel.enabled}) or the scalar oracle; both
-    produce bit-identical results, and a spec with no inputs has rate
-    0 (no error events), not NaN. *)
+    [spec]'s output [o], by word-parallel {!Bitvec.Bv.Kernel} popcounts.
+    A spec with no inputs has rate 0 (no error events), not NaN. *)
 val of_table : Pla.Spec.t -> o:int -> impl:Bitvec.Bv.t -> float
 
-(** The scalar reference implementation of {!of_table}, regardless of
-    the engine toggle — the oracle the differential tests and the
-    bench harness compare the kernel against. *)
+(** The scalar reference implementation of {!of_table}: the oracle the
+    differential tests compare the kernel against, bit for bit. *)
 val of_table_scalar : Pla.Spec.t -> o:int -> impl:Bitvec.Bv.t -> float
 
 (** [of_tables spec tables] is the mean of {!of_table} over outputs.
@@ -36,12 +33,13 @@ val of_netlist : Pla.Spec.t -> Netlist.t -> float
     [base + max_dc] bound the error rate over all DC assignments. *)
 type bounds = { base : float; min_dc : float; max_dc : float }
 
-(** [bounds spec ~o] computes the exact per-output bounds by neighbour
-    enumeration — word-parallel (bit-sliced neighbour counters) under
-    the kernel engine, scalar otherwise; results are bit-identical. *)
+(** [bounds spec ~o] computes the exact per-output bounds by
+    word-parallel neighbour enumeration (bit-sliced neighbour
+    counters). *)
 val bounds : Pla.Spec.t -> o:int -> bounds
 
-(** The scalar reference implementation of {!bounds} (the oracle). *)
+(** The scalar reference implementation of {!bounds} (the oracle the
+    differential tests compare against). *)
 val bounds_scalar : Pla.Spec.t -> o:int -> bounds
 
 (** [mean_bounds spec] averages bounds over outputs. *)

@@ -7,7 +7,6 @@
 
 module Spec = Pla.Spec
 module Bv = Bitvec.Bv
-module K = Bv.Kernel
 module ER = Reliability.Error_rate
 module Borders = Reliability.Borders
 module Estimate = Reliability.Estimate
@@ -64,12 +63,12 @@ let impl_of_mask s ~o mask =
 (* (a) Bdd_exact is bit-identical to the exhaustive kernel and its
    scalar oracle. *)
 
-let ident_against name spec =
+let ident_against spec =
   let t = Analysis.of_spec spec in
   for o = 0 to Spec.no spec - 1 do
     let be = Analysis.bounds ~backend:Analysis.Exhaustive t ~o in
     let bb = Analysis.bounds ~backend:Analysis.Bdd_exact t ~o in
-    let tag f = Printf.sprintf "%s o=%d %s" name o f in
+    let tag f = Printf.sprintf "kernel o=%d %s" o f in
     check_f 0.0 (tag "base") (exact be.Analysis.base) (exact bb.Analysis.base);
     check_f 0.0 (tag "min_dc") (exact be.Analysis.min_dc)
       (exact bb.Analysis.min_dc);
@@ -90,17 +89,39 @@ let ident_against name spec =
       (exact (Analysis.complexity_factor ~backend:Analysis.Bdd_exact t ~o))
   done
 
+(* The same quantities straight from the scalar oracles: bounds,
+   border counts and C^f by per-minterm neighbour probes. *)
+let ident_against_scalar spec =
+  let t = Analysis.of_spec spec in
+  let pairs = Spec.ni spec * Spec.size spec in
+  for o = 0 to Spec.no spec - 1 do
+    let tag f = Printf.sprintf "scalar o=%d %s" o f in
+    let bs = ER.bounds_scalar spec ~o in
+    let bb = Analysis.bounds ~backend:Analysis.Bdd_exact t ~o in
+    check_f 0.0 (tag "base") bs.ER.base (exact bb.Analysis.base);
+    check_f 0.0 (tag "min_dc") bs.ER.min_dc (exact bb.Analysis.min_dc);
+    check_f 0.0 (tag "max_dc") bs.ER.max_dc (exact bb.Analysis.max_dc);
+    let cs = Borders.border_counts_scalar spec ~o in
+    let cb = Analysis.borders ~backend:Analysis.Bdd_exact t ~o in
+    let count c = float_of_int c in
+    check_f 0.0 (tag "b0") (count cs.Borders.b0) (exact cb.Analysis.b0);
+    check_f 0.0 (tag "b1") (count cs.Borders.b1) (exact cb.Analysis.b1);
+    check_f 0.0 (tag "bdc") (count cs.Borders.bdc) (exact cb.Analysis.bdc);
+    check_f 0.0 (tag "cf")
+      (count (Borders.same_phase_pairs_scalar spec ~o) /. count pairs)
+      (exact (Analysis.complexity_factor ~backend:Analysis.Bdd_exact t ~o))
+  done
+
 let prop_bdd_bit_identical_kernel =
   QCheck.Test.make ~name:"bdd backend bit-identical to exhaustive kernel"
     ~count:60 arb_spec (fun (ni, no, phases) ->
-      ident_against "kernel" (spec_of_phases ~ni ~no phases);
+      ident_against (spec_of_phases ~ni ~no phases);
       true)
 
 let prop_bdd_bit_identical_scalar =
   QCheck.Test.make ~name:"bdd backend bit-identical to scalar oracle"
     ~count:30 arb_spec (fun (ni, no, phases) ->
-      K.with_mode false (fun () ->
-          ident_against "scalar" (spec_of_phases ~ni ~no phases));
+      ident_against_scalar (spec_of_phases ~ni ~no phases);
       true)
 
 let prop_bdd_rate_bit_identical =

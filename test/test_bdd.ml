@@ -57,22 +57,6 @@ let test_ite () =
       (Bdd.eval_minterm m f mt)
   done
 
-let test_restrict () =
-  let m = Bdd.make_man ~nvars:2 in
-  let f = Bdd.bxor m (Bdd.var m 0) (Bdd.var m 1) in
-  let f0 = Bdd.restrict m f ~var:0 ~value:false in
-  check "xor|x0=0 is x1" true (Bdd.equal f0 (Bdd.var m 1));
-  let f1 = Bdd.restrict m f ~var:0 ~value:true in
-  check "xor|x0=1 is !x1" true (Bdd.equal f1 (Bdd.bnot m (Bdd.var m 1)))
-
-let test_quantification () =
-  let m = Bdd.make_man ~nvars:3 in
-  let f = Bdd.band m (Bdd.var m 0) (Bdd.var m 2) in
-  check "exists x0 (x0&x2) = x2" true
-    (Bdd.equal (Bdd.exists m [ 0 ] f) (Bdd.var m 2));
-  check "forall x0 (x0&x2) = 0" true (Bdd.is_zero m (Bdd.forall m [ 0 ] f));
-  check "exists both = 1" true (Bdd.is_one m (Bdd.exists m [ 0; 2 ] f))
-
 let test_satcount () =
   let m = Bdd.make_man ~nvars:4 in
   check_int "count one" 16 (Bdd.satcount m (Bdd.one m));
@@ -228,8 +212,6 @@ let suite =
       Alcotest.test_case "hash consing" `Quick test_hash_consing;
       Alcotest.test_case "connectives" `Quick test_connectives;
       Alcotest.test_case "ite" `Quick test_ite;
-      Alcotest.test_case "restrict" `Quick test_restrict;
-      Alcotest.test_case "quantification" `Quick test_quantification;
       Alcotest.test_case "satcount" `Quick test_satcount;
       Alcotest.test_case "support and size" `Quick test_support_size;
       Alcotest.test_case "cover conversion" `Quick test_cover_conversion;
@@ -335,16 +317,6 @@ let suite = (fst suite, snd suite @ isop_cases)
 
 (* More algebraic laws. *)
 
-let prop_exists_forall_duality =
-  QCheck.Test.make ~name:"exists/forall De Morgan duality" ~count:80
-    QCheck.(pair (arb_cover 5) (int_bound 4))
-    (fun (cover, v) ->
-      let m = Bdd.make_man ~nvars:5 in
-      let f = Bdd.of_cover m cover in
-      Bdd.equal
-        (Bdd.bnot m (Bdd.exists m [ v ] f))
-        (Bdd.forall m [ v ] (Bdd.bnot m f)))
-
 let prop_flip_var_involution =
   QCheck.Test.make ~name:"flip_var is an involution" ~count:80
     QCheck.(pair (arb_cover 5) (int_bound 4))
@@ -361,22 +333,10 @@ let prop_flip_var_satcount =
       let f = Bdd.of_cover m cover in
       Bdd.satcount m f = Bdd.satcount m (Bdd.flip_var m f v))
 
-let prop_restrict_shannon =
-  QCheck.Test.make ~name:"Shannon expansion reconstructs" ~count:80
-    QCheck.(pair (arb_cover 5) (int_bound 4))
-    (fun (cover, v) ->
-      let m = Bdd.make_man ~nvars:5 in
-      let f = Bdd.of_cover m cover in
-      let f0 = Bdd.restrict m f ~var:v ~value:false in
-      let f1 = Bdd.restrict m f ~var:v ~value:true in
-      Bdd.equal f (Bdd.ite m (Bdd.var m v) f1 f0))
-
 let law_cases =
   [
-    QCheck_alcotest.to_alcotest prop_exists_forall_duality;
     QCheck_alcotest.to_alcotest prop_flip_var_involution;
     QCheck_alcotest.to_alcotest prop_flip_var_satcount;
-    QCheck_alcotest.to_alcotest prop_restrict_shannon;
   ]
 
 let suite = (fst suite, snd suite @ law_cases)

@@ -329,13 +329,6 @@ let test_counter_overflow () =
     (Invalid_argument "Bv.Kernel.counter_add_bit: overflow") (fun () ->
       K.counter_add_bit c ones)
 
-let test_with_mode () =
-  check "enabled by default" true (K.use ());
-  K.with_mode false (fun () -> check "disabled inside" false (K.use ()));
-  check "restored" true (K.use ());
-  (try K.with_mode false (fun () -> failwith "boom") with Failure _ -> ());
-  check "restored after exception" true (K.use ())
-
 let prop_neighbor_involution =
   QCheck.Test.make ~name:"kernel neighbor is an involution" ~count:100
     QCheck.(pair (int_bound 6) (list small_nat))
@@ -361,7 +354,6 @@ let kernel_cases =
       test_counter_add_and_abs_diff;
     Alcotest.test_case "counter neighbor" `Quick test_counter_neighbor;
     Alcotest.test_case "counter overflow" `Quick test_counter_overflow;
-    Alcotest.test_case "kernel mode toggle" `Quick test_with_mode;
     QCheck_alcotest.to_alcotest prop_neighbor_involution;
   ]
 

@@ -6,7 +6,6 @@
 
 module Spec = Pla.Spec
 module Bv = Bitvec.Bv
-module K = Bitvec.Bv.Kernel
 module Cover = Twolevel.Cover
 module Cube = Twolevel.Cube
 module Diag = Check.Diag
@@ -142,24 +141,79 @@ let test_constant_and_duplicate_outputs () =
   check "dc-density present" true (has_code "dc-density" diags);
   check "lint never errors" false (Diag.has_errors diags)
 
+(* The kernel scans behind the unused-input and duplicate-output lints,
+   against per-minterm [Spec.get] probes.  Phases depend only on a
+   random subset of the inputs, and an output may copy an earlier one
+   exactly or with its off-set turned DC (same on-set, not a
+   duplicate), so both lints have something to find and to reject. *)
 let test_lint_kernel_scalar_agree () =
   let rng = Random.State.make [| 2024 |] in
+  let found_unused = ref 0 and found_dup = ref 0 in
   for _ = 1 to 20 do
     let ni = 3 + Random.State.int rng 3 in
     let no = 1 + Random.State.int rng 3 in
+    let size = 1 lsl ni in
+    let used = Random.State.int rng size in
     let s = Spec.create ~ni ~no ~default:Spec.Dc in
     for o = 0 to no - 1 do
-      for m = 0 to (1 lsl ni) - 1 do
-        match Random.State.int rng 3 with
-        | 0 -> Spec.set s ~o ~m Spec.On
-        | 1 -> Spec.set s ~o ~m Spec.Off
-        | _ -> ()
+      let table =
+        Array.init size (fun _ ->
+            match Random.State.int rng 3 with
+            | 0 -> Spec.On
+            | 1 -> Spec.Off
+            | _ -> Spec.Dc)
+      in
+      let src = if o > 0 then Random.State.int rng (3 * o) else 0 in
+      for m = 0 to size - 1 do
+        Spec.set s ~o ~m
+          (if src >= 2 * o then table.(m land used)
+           else
+             match Spec.get s ~o:(src / 2) ~m with
+             | Spec.Off when src mod 2 = 1 -> Spec.Dc
+             | p -> p)
       done
     done;
-    let d_scalar = K.with_mode false (fun () -> Lint.lint s) in
-    let d_kernel = K.with_mode true (fun () -> Lint.lint s) in
-    check "kernel/scalar lints identical" true (d_scalar = d_kernel)
-  done
+    let every n f = List.for_all f (List.init n Fun.id) in
+    let unused =
+      List.filter
+        (fun j ->
+          every no (fun o ->
+              every size (fun m ->
+                  Spec.get s ~o ~m = Spec.get s ~o ~m:(m lxor (1 lsl j)))))
+        (List.init ni Fun.id)
+    in
+    let duplicates =
+      List.filter_map
+        (fun o2 ->
+          List.find_opt
+            (fun o1 ->
+              every size (fun m -> Spec.get s ~o:o1 ~m = Spec.get s ~o:o2 ~m))
+            (List.init o2 Fun.id)
+          |> Option.map (fun o1 ->
+                 Printf.sprintf "output y%d has the same phase table as y%d"
+                   o2 o1))
+        (List.init no Fun.id)
+    in
+    let diags = Lint.lint s in
+    let with_code code f =
+      List.sort compare
+        (List.filter_map
+           (fun d -> if d.Diag.code = code then Some (f d) else None)
+           diags)
+    in
+    check "unused_inputs = Spec.get oracle" true
+      (Lint.unused_inputs s = unused);
+    check "unused-input diags = oracle" true
+      (with_code "unused-input" (fun d -> d.Diag.loc)
+      = List.map (fun j -> Diag.Input_var j) unused);
+    check "duplicate-output diags = oracle" true
+      (with_code "duplicate-output" (fun d -> d.Diag.message)
+      = List.sort compare duplicates);
+    found_unused := !found_unused + List.length unused;
+    found_dup := !found_dup + List.length duplicates
+  done;
+  check "some unused input seen" true (!found_unused > 0);
+  check "some duplicate output seen" true (!found_dup > 0)
 
 (* Raw .pla with an on/off overlap: the first term turns minterm 3 on,
    the second turns it off again ('0' only drives the off-set under
@@ -265,7 +319,7 @@ let test_coverage_counts_engines_agree () =
                     | 1 -> Cube.One
                     | _ -> Cube.Free))))
     in
-    let k = CC.coverage_counts_kernel ~spec:s ~o:0 cover in
+    let k = CC.coverage_counts ~spec:s ~o:0 cover in
     let sc = CC.coverage_counts_scalar ~spec:s ~o:0 cover in
     check "kernel = scalar coverage counts" true (k = sc)
   done

@@ -1,7 +1,8 @@
-(* Differential tests for the word-parallel kernel engine: every
-   rewired metric must agree bit-for-bit with its scalar oracle, at
-   one worker domain and at several.  Floats are compared with [=] —
-   the kernels are integer-exact, so "close" is not good enough. *)
+(* Differential tests for the word-parallel kernels: every
+   neighbour-space metric must agree bit-for-bit with its scalar
+   oracle, at one worker domain and at several.  Floats are compared
+   with [=] — the kernels are integer-exact, so "close" is not good
+   enough. *)
 
 module Spec = Pla.Spec
 module Bv = Bitvec.Bv
@@ -16,12 +17,12 @@ let check = Alcotest.(check bool)
 let check_f tol = Alcotest.(check (float tol))
 let jobs_grid = [ 1; 4 ]
 
-(* Random (ni, phases) with 1 <= ni <= 6 — large enough to cross the
-   63-bit word boundary (ni = 6 gives 64 minterms), small enough for
-   the scalar sweeps to stay fast. *)
+(* Random (ni, phases) with 0 <= ni <= 6 — from the input-free
+   constant up to crossing the 63-bit word boundary (ni = 6 gives 64
+   minterms), small enough for the scalar sweeps to stay fast. *)
 let gen_spec =
   QCheck.Gen.(
-    int_range 1 6 >>= fun n ->
+    int_range 0 6 >>= fun n ->
     list_repeat (1 lsl n) (int_bound 2) >>= fun phases ->
     return (n, phases))
 
@@ -50,14 +51,37 @@ let impl_of (n, seed) =
   done;
   impl
 
-(* Run [f] under every job count of the grid with the kernel engine
-   on, and require each result to equal [oracle] (computed once with
-   the engine off, single-threaded). *)
+(* Run [f] under every job count of the grid and require each result
+   to equal [oracle ()], scalar code run once. *)
 let kernel_equals_oracle ~oracle f =
-  let reference = Pool.with_jobs 1 (fun () -> K.with_mode false oracle) in
-  List.for_all
-    (fun j -> Pool.with_jobs j (fun () -> K.with_mode true f) = reference)
-    jobs_grid
+  let reference = oracle () in
+  List.for_all (fun j -> Pool.with_jobs j f = reference) jobs_grid
+
+(* Figure 3's DC_List from per-minterm weights: the non-zero-weight DC
+   minterms in increasing order, stably sorted by decreasing weight. *)
+let dc_ranking_oracle s ~o =
+  let listed = ref [] in
+  Spec.iter_dc s ~o (fun m ->
+      let w = Metrics.weight s ~o ~m in
+      if w <> 0 then listed := (m, w) :: !listed);
+  List.stable_sort (fun (_, w1) (_, w2) -> compare w2 w1) (List.rev !listed)
+
+(* Ranking assignment from the oracle list: the first [fraction] of
+   each output's list takes its per-minterm majority phase. *)
+let ranking_oracle ~fraction s =
+  let out = Spec.copy s in
+  for o = 0 to Spec.no s - 1 do
+    let ranked = dc_ranking_oracle s ~o in
+    let take =
+      int_of_float (Float.round (fraction *. float_of_int (List.length ranked)))
+    in
+    List.iteri
+      (fun i (m, _) ->
+        if i < take then
+          Spec.assign_dc out ~o ~m (Metrics.majority_phase s ~o ~m = Some true))
+      ranked
+  done;
+  out
 
 let prop_of_table =
   QCheck.Test.make ~name:"kernel of_table = scalar oracle (jobs 1,4)"
@@ -128,19 +152,15 @@ let prop_ranking_weights =
       let s = spec_of sp in
       let ranking_ok =
         kernel_equals_oracle
-          ~oracle:(fun () -> Metrics.dc_ranking s ~o:0)
+          ~oracle:(fun () -> dc_ranking_oracle s ~o:0)
           (fun () -> Metrics.dc_ranking s ~o:0)
       in
-      let reference =
-        Pool.with_jobs 1 (fun () ->
-            K.with_mode false (fun () -> Assign.ranking ~fraction:0.5 s))
-      in
+      let reference = ranking_oracle ~fraction:0.5 s in
       let assign_ok =
         List.for_all
           (fun j ->
             Pool.with_jobs j (fun () ->
-                K.with_mode true (fun () ->
-                    Spec.equal (Assign.ranking ~fraction:0.5 s) reference)))
+                Spec.equal (Assign.ranking ~fraction:0.5 s) reference))
           jobs_grid
       in
       ranking_ok && assign_ok)
@@ -218,37 +238,28 @@ let prop_neighbour_sweep =
       accs_a = accs_b && counters_agree)
 
 (* Regression: a spec with no inputs has no error events at all — the
-   rate is 0, not 0/0 = NaN.  Both engines, plus the bounds. *)
+   rate is 0, not 0/0 = NaN.  Kernel and oracle, plus the bounds. *)
 let test_no_input_rate_is_zero () =
   let s = Spec.create ~ni:0 ~no:1 ~default:Spec.On in
   let impl = Bv.create 1 in
   Bv.set impl 0;
-  List.iter
-    (fun kernel ->
-      K.with_mode kernel @@ fun () ->
-      let r = ER.of_table s ~o:0 ~impl in
-      check "rate is a number" false (Float.is_nan r);
-      check_f 1e-9 "rate" 0.0 r;
-      let b = ER.bounds s ~o:0 in
-      check_f 1e-9 "base" 0.0 b.ER.base;
-      check_f 1e-9 "min_dc" 0.0 b.ER.min_dc;
-      check_f 1e-9 "max_dc" 0.0 b.ER.max_dc)
-    [ false; true ];
+  let r = ER.of_table s ~o:0 ~impl in
+  check "rate is a number" false (Float.is_nan r);
+  check_f 1e-9 "rate" 0.0 r;
+  let b = ER.bounds s ~o:0 in
+  check_f 1e-9 "base" 0.0 b.ER.base;
+  check_f 1e-9 "min_dc" 0.0 b.ER.min_dc;
+  check_f 1e-9 "max_dc" 0.0 b.ER.max_dc;
   check_f 1e-9 "scalar oracle too" 0.0 (ER.of_table_scalar s ~o:0 ~impl)
 
 (* A 0-input function is constant: its local complexity factor is 1,
-   in the batch and per-minterm forms, under both engines. *)
+   in the batch and per-minterm forms. *)
 let test_no_input_lcf () =
   let s = Spec.create ~ni:0 ~no:1 ~default:Spec.Dc in
-  List.iter
-    (fun kernel ->
-      K.with_mode kernel @@ fun () ->
-      check_f 1e-9 "per-minterm" 1.0
-        (Borders.local_complexity_factor s ~o:0 ~m:0);
-      let batch = Borders.local_complexity_factors s ~o:0 in
-      Alcotest.(check int) "batch length" 1 (Array.length batch);
-      check_f 1e-9 "batch" 1.0 batch.(0))
-    [ false; true ]
+  check_f 1e-9 "per-minterm" 1.0 (Borders.local_complexity_factor s ~o:0 ~m:0);
+  let batch = Borders.local_complexity_factors s ~o:0 in
+  Alcotest.(check int) "batch length" 1 (Array.length batch);
+  check_f 1e-9 "batch" 1.0 batch.(0)
 
 let suite =
   ( "kernel-diff",
