@@ -43,6 +43,10 @@ let signature o =
   ^ String.concat ";"
       (List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v) o.scalars)
 
+(* Sections that compare two engines feed any divergence straight into
+   this list; the harness exits non-zero when it is not empty. *)
+let mismatches = ref []
+
 let mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
@@ -462,11 +466,12 @@ let run_nodal ~full:_ () =
 (* Static-check audit of the largest suite benchmark: synthesize
    ex1010, then run the full lib/check pipeline (spec lint, then the
    implementation audit: cover check, netlist structure, care-set
-   equivalence with both the exhaustive and the BDD engine).  The
-   diagnostics land in the outcome table, so the harness's signature
-   comparison doubles as the guard that the audit reports identically
-   at one and N jobs; the BDD equivalence engine's diagnostics are
-   recorded beside the exhaustive engine's. *)
+   equivalence with the exhaustive engine).  The diagnostics land in
+   the outcome table, so the harness's signature comparison doubles as
+   the guard that the audit reports identically at one and N jobs.
+   The care-set equivalence is also run with the BDD engine, whose
+   diagnostic texts are engine-independent: any difference from the
+   exhaustive engine's, diagnostic for diagnostic, is a mismatch. *)
 
 let run_check_ex1010 ~full:_ () =
   let module Flow = Rdca_flow.Flow in
@@ -481,10 +486,12 @@ let run_check_ex1010 ~full:_ () =
       @ Check.implementation ~equiv:Check.Netlist_check.Exhaustive ~spec
           ~covers:r.Flow.covers r.Flow.netlist)
   in
-  let bdd_diags =
-    Check.Netlist_check.equiv_spec ~engine:Check.Netlist_check.Bdd_backed ~spec
-      r.Flow.netlist
+  let equiv engine =
+    Check.Netlist_check.equiv_spec ~engine ~spec r.Flow.netlist
   in
+  let bdd_diags = equiv Check.Netlist_check.Bdd_backed in
+  if bdd_diags <> equiv Check.Netlist_check.Exhaustive then
+    mismatches := "check-ex1010 [bdd/exhaustive equivalence]" :: !mismatches;
   {
     tables =
       [
@@ -632,27 +639,6 @@ let run_micro ~full:_ () =
     scalars = List.map (fun (name, ns) -> (name ^ "_ns", ns)) rows;
   }
 
-(* Correctness sections run once and feed any divergence straight
-   into this list; the harness exits non-zero when it is not empty. *)
-let mismatches = ref []
-
-(* Timing scalars of run-once sections: the median wall time of five
-   runs of the same call.  Every run must produce a result [same] as
-   the first, else the section records a mismatch. *)
-let timing_runs = 5
-
-let median_timed ~what ~same f =
-  let runs =
-    List.init timing_runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0))
-  in
-  let r0 = fst (List.hd runs) in
-  if not (List.for_all (fun (r, _) -> same r0 r) runs) then
-    mismatches := (what ^ " differs between timing runs") :: !mismatches;
-  (r0, List.nth (List.sort Float.compare (List.map snd runs)) (timing_runs / 2))
-
 (* ------------------------------------------------------------------ *)
 (* Cross-backend agreement: on the small suite benchmarks the
    symbolic (BDD) backend must reproduce the exhaustive engines
@@ -774,12 +760,13 @@ let run_backends ~full () =
 
 (* ------------------------------------------------------------------ *)
 (* Windowed don't-care extraction: synthesize each suite benchmark,
-   sweep the Differential engine (SAT and BDD answer every window and
-   are compared bit-identically), rewrite the DC patterns and prove
-   the result still realises the care set.  Any window disagreement or
+   sweep the Differential engine (Auto's simulate-first engine and the
+   per-pattern SAT sweep answer every window and are compared
+   bit-identically), rewrite the DC patterns and prove the result
+   still realises the care set.  Any window disagreement or
    equivalence failure feeds the mismatch list, so the cross-engine
-   contract gates the exit code.  Timing (µs per analyzed node, the
-   median of five identical sweeps) makes this a run-once section. *)
+   contract gates the exit code.  The time of each layer is
+   perfbench's dcopt workload's to measure. *)
 
 let run_dc_extract ~full () =
   let module Dc = Rdca_dc.Dc in
@@ -796,19 +783,13 @@ let run_dc_extract ~full () =
           Rdca_flow.Flow.synthesize ~mode:Techmap.Mapper.Area
             ~strategy:Rdca_flow.Flow.Conventional spec
         in
-        let opt, dt =
-          median_timed ~what:(Printf.sprintf "dc-extract [%s report]" name)
-            ~same:(fun a b ->
-              a.Dc.opt_report = b.Dc.opt_report
-              && a.Dc.rewritten = b.Dc.rewritten)
-            (fun () ->
-              Dc.optimize ~config ~strategy:Dc.Complete
-                r.Rdca_flow.Flow.netlist)
+        let opt =
+          Dc.optimize ~config ~strategy:Dc.Complete r.Rdca_flow.Flow.netlist
         in
         let rep = opt.Dc.opt_report in
         if rep.Dc.disagreements > 0 then
           mismatches :=
-            (Printf.sprintf "dc-extract [%s sat/bdd: %d window(s)]" name
+            (Printf.sprintf "dc-extract [%s auto/sat: %d window(s)]" name
                rep.Dc.disagreements)
             :: !mismatches;
         let equiv_diags =
@@ -816,15 +797,10 @@ let run_dc_extract ~full () =
         in
         if Check.Diag.has_errors equiv_diags then
           mismatches := (Printf.sprintf "dc-extract [%s equiv]" name) :: !mismatches;
-        let us_per_node =
-          if rep.Dc.analyzed = 0 then 0.0
-          else 1e6 *. dt /. float_of_int rep.Dc.analyzed
-        in
         ( name,
           rep,
           List.length opt.Dc.rewritten,
-          not (Check.Diag.has_errors equiv_diags),
-          us_per_node ))
+          not (Check.Diag.has_errors equiv_diags) ))
       names
   in
   {
@@ -833,16 +809,13 @@ let run_dc_extract ~full () =
         {
           title =
             Printf.sprintf
-              "dc-extract: windowed SDC/ODC recovery, SAT vs BDD (depth %d)"
+              "dc-extract: windowed SDC/ODC recovery, Auto vs SAT (depth %d)"
               depth;
           header =
-            [
-              "name"; "analyzed"; "SDC"; "ODC"; "agree"; "rewritten"; "equiv";
-              "us/node";
-            ];
+            [ "name"; "analyzed"; "SDC"; "ODC"; "agree"; "rewritten"; "equiv" ];
           rows =
             List.map
-              (fun (name, rep, rewritten, equiv_ok, us) ->
+              (fun (name, rep, rewritten, equiv_ok) ->
                 [
                   name;
                   string_of_int rep.Dc.analyzed;
@@ -851,21 +824,19 @@ let run_dc_extract ~full () =
                   (if rep.Dc.disagreements = 0 then "yes" else "NO");
                   string_of_int rewritten;
                   (if equiv_ok then "yes" else "NO");
-                  T.f3 us;
                 ])
               rows;
         };
       ];
     scalars =
       List.concat_map
-        (fun (name, rep, rewritten, equiv_ok, us) ->
+        (fun (name, rep, rewritten, equiv_ok) ->
           [
             (name ^ "_sdc", float_of_int rep.Dc.sdc_patterns);
             (name ^ "_odc", float_of_int rep.Dc.odc_patterns);
             (name ^ "_agree", if rep.Dc.disagreements = 0 then 1.0 else 0.0);
             (name ^ "_rewritten", float_of_int rewritten);
             (name ^ "_equiv_ok", if equiv_ok then 1.0 else 0.0);
-            (name ^ "_us_per_node", us);
           ])
         rows;
   }
@@ -876,9 +847,8 @@ let run_dc_extract ~full () =
    again with the exhaustive word-parallel simulator, and compare the
    two verdict vectors bit-identically.  Any divergence feeds the
    mismatch list so the cross-engine contract gates the exit code;
-   faults/s (the median of five identical SAT runs) and the collapse
-   ratio are the headline scalars.  Timing makes this a run-once
-   section. *)
+   the collapse ratio is the headline scalar.  The time of each layer
+   is perfbench's testability workload's to measure. *)
 
 let run_testability ~full:_ () =
   let module A = Atpg.Engine in
@@ -895,16 +865,7 @@ let run_testability ~full:_ () =
         let analyze backend =
           A.analyze ~config:{ A.default_config with A.backend } nl
         in
-        let verdicts (rep : A.report) =
-          List.map
-            (fun (f : A.fault_result) -> (f.A.rep, f.A.verdict))
-            rep.A.results
-        in
-        let sat, dt =
-          median_timed ~what:(Printf.sprintf "testability [%s verdicts]" name)
-            ~same:(fun a b -> verdicts a = verdicts b)
-            (fun () -> analyze A.Sat_engine)
-        in
+        let sat = analyze A.Sat_engine in
         let exh = analyze A.Exhaustive in
         let identical =
           List.length sat.A.results = List.length exh.A.results
@@ -918,13 +879,10 @@ let run_testability ~full:_ () =
           mismatches :=
             Printf.sprintf "testability [%s sat/exhaustive]" name
             :: !mismatches;
-        let faults_per_s =
-          if dt <= 0.0 then 0.0 else float_of_int sat.A.classes /. dt
-        in
-        (name, sat, identical, faults_per_s))
+        (name, sat, identical))
       names
   in
-  let all_identical = List.for_all (fun (_, _, ok, _) -> ok) rows in
+  let all_identical = List.for_all (fun (_, _, ok) -> ok) rows in
   {
     tables =
       [
@@ -933,11 +891,11 @@ let run_testability ~full:_ () =
           header =
             [
               "name"; "faults"; "classes"; "collapse"; "untestable";
-              "identical"; "faults/s";
+              "identical";
             ];
           rows =
             List.map
-              (fun (name, (rep : A.report), ok, fps) ->
+              (fun (name, (rep : A.report), ok) ->
                 [
                   name;
                   string_of_int rep.A.total_faults;
@@ -945,20 +903,18 @@ let run_testability ~full:_ () =
                   T.f2 rep.A.collapse_ratio;
                   string_of_int rep.A.untestable;
                   (if ok then "yes" else "NO");
-                  Printf.sprintf "%.0f" fps;
                 ])
               rows;
         };
       ];
     scalars =
       List.concat_map
-        (fun (name, (rep : A.report), ok, fps) ->
+        (fun (name, (rep : A.report), ok) ->
           [
             (name ^ "_faults", float_of_int rep.A.total_faults);
             (name ^ "_classes", float_of_int rep.A.classes);
             (name ^ "_collapse_ratio", rep.A.collapse_ratio);
             (name ^ "_untestable", float_of_int rep.A.untestable);
-            (name ^ "_faults_per_s", fps);
             (name ^ "_identical", if ok then 1.0 else 0.0);
           ])
         rows
@@ -990,8 +946,8 @@ let sections =
     { sec_name = "check-ex1010"; dual = true; build = run_check_ex1010 };
     { sec_name = "errbounds-ex1010"; dual = true; build = run_errbounds };
     { sec_name = "backends"; dual = true; build = run_backends };
-    { sec_name = "dc-extract"; dual = false; build = run_dc_extract };
-    { sec_name = "testability"; dual = false; build = run_testability };
+    { sec_name = "dc-extract"; dual = true; build = run_dc_extract };
+    { sec_name = "testability"; dual = true; build = run_testability };
     { sec_name = "micro"; dual = false; build = run_micro };
   ]
 

@@ -907,10 +907,12 @@ let check_cmd =
       $ jobs_arg)
 
 (* Post-mapping don't-care recovery: synthesize, sweep the windowed
-   ODC/SDC analysis over the mapped netlist, rewrite node functions on
-   their DC patterns, and prove the rewrite preserved the care set.
-   Exit 1 on any structured failure — including a SAT/BDD engine
-   disagreement under --dc-backend differential. *)
+   ODC/SDC analysis over the mapped netlist (Auto simulates each window
+   first and asks the SAT solver only about the patterns left open),
+   rewrite node functions on their DC patterns, and prove the rewrite
+   preserved the care set.  Exit 1 on any structured failure —
+   including an Auto/SAT engine disagreement under --dc-backend
+   differential. *)
 let optimize_cmd =
   let module Dc = Rdca_dc.Dc in
   let module Diag = Check.Diag in
@@ -925,7 +927,10 @@ let optimize_cmd =
   let dc_backend_arg =
     let doc =
       "Window engine, " ^ Arg.doc_alts_enum Dc.backends
-      ^ "; $(b,differential) runs both and fails on any mismatch."
+      ^ ": $(b,auto) simulates each window and asks the SAT solver only \
+         about the fanin patterns simulation leaves open, $(b,sat) asks \
+         it about every pattern, $(b,differential) runs both and fails \
+         on any mismatch."
     in
     Arg.(
       value
@@ -984,6 +989,8 @@ let optimize_cmd =
           Fmt.pr "nodes with DC:   %d@." rep.Dc.nodes_with_dc;
           Fmt.pr "SDC patterns:    %d@." rep.Dc.sdc_patterns;
           Fmt.pr "ODC patterns:    %d@." rep.Dc.odc_patterns;
+          Fmt.pr "decided by simulation: %d of %d window(s), SAT queries: %d@."
+            rep.Dc.sim_decided rep.Dc.analyzed rep.Dc.sat_queries;
           if backend = Dc.Differential then
             Fmt.pr "backends agree:  yes (%d window(s))@." rep.Dc.analyzed;
           Fmt.pr "rewritten:       %d node(s)@." (List.length opt.Dc.rewritten);

@@ -147,22 +147,18 @@ let exhaustive_decide nl (f : Fault.t) =
         bad.(i) <- !w
       done;
       Netlist.iter_nodes nl (fun v g fis ->
-          good.(v) <- Gate.eval_words g (Array.map (fun i -> good.(i)) fis);
+          good.(v) <- Gate.eval_words_at g good fis;
           bad.(v) <-
             (if not affected.(v) then good.(v)
              else if v = f.Fault.node then
                match f.Fault.pin with
                | Fault.Stem -> if f.Fault.stuck then -1 else 0
                | Fault.Branch j ->
-                   let ws =
-                     Array.mapi
-                       (fun k i ->
-                         if k = j then (if f.Fault.stuck then -1 else 0)
-                         else bad.(i))
-                       fis
-                   in
-                   Gate.eval_words g ws
-             else Gate.eval_words g (Array.map (fun i -> bad.(i)) fis)));
+                   let ws = Array.map (fun i -> bad.(i)) fis in
+                   ws.(j) <- (if f.Fault.stuck then -1 else 0);
+                   Gate.eval_words_at g ws
+                     (Array.init (Array.length fis) Fun.id)
+             else Gate.eval_words_at g bad fis));
       let mask = if chunk = 63 then -1 else (1 lsl chunk) - 1 in
       let diff = ref 0 in
       Array.iter

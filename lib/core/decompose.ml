@@ -108,15 +108,13 @@ let internal_error_rate nl =
       base_words.(i) <- !w
     done;
     Netlist.iter_nodes nl (fun id g fanins ->
-        base_words.(id) <-
-          Gate.eval_words g (Array.map (Array.get base_words) fanins));
+        base_words.(id) <- Gate.eval_words_at g base_words fanins);
     for fault = ni to n - 1 do
       Array.blit base_words 0 fault_words 0 n;
       fault_words.(fault) <- lnot base_words.(fault);
       Netlist.iter_nodes nl (fun id g fanins ->
           if id > fault then
-            fault_words.(id) <-
-              Gate.eval_words g (Array.map (Array.get fault_words) fanins));
+            fault_words.(id) <- Gate.eval_words_at g fault_words fanins);
       let diff = ref 0 in
       Array.iter
         (fun o -> diff := !diff lor (base_words.(o) lxor fault_words.(o)))
@@ -138,8 +136,7 @@ let observability_mask_current nl ~node base_words fault_words chunk_mask =
   fault_words.(node) <- lnot base_words.(node);
   Netlist.iter_nodes nl (fun id g fanins ->
       if id > node then
-        fault_words.(id) <-
-          Gate.eval_words g (Array.map (Array.get fault_words) fanins));
+        fault_words.(id) <- Gate.eval_words_at g fault_words fanins);
   let diff = ref 0 in
   Array.iter
     (fun o -> diff := !diff lor (base_words.(o) lxor fault_words.(o)))
@@ -163,7 +160,7 @@ let simulate_chunks nl visit =
       words.(i) <- !w
     done;
     Netlist.iter_nodes nl (fun id g fanins ->
-        words.(id) <- Gate.eval_words g (Array.map (Array.get words) fanins));
+        words.(id) <- Gate.eval_words_at g words fanins);
     visit ~chunk words;
     base := !base + chunk
   done

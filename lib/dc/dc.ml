@@ -4,15 +4,10 @@ module Gate = Netlist.Gate
 module Spec = Pla.Spec
 module J = Rdca_json.Jsonout
 
-type backend = Auto | Sat_engine | Bdd_engine | Differential
+type backend = Auto | Sat_engine | Differential
 
 let backends =
-  [
-    ("auto", Auto);
-    ("sat", Sat_engine);
-    ("bdd", Bdd_engine);
-    ("differential", Differential);
-  ]
+  [ ("auto", Auto); ("sat", Sat_engine); ("differential", Differential) ]
 
 let backend_name b = fst (List.find (fun (_, b') -> b' = b) backends)
 
@@ -36,6 +31,7 @@ type node_report = {
   sdc : int;
   odc : int;
   agree : bool option;
+  sat_queries : int;
 }
 
 type report = {
@@ -46,6 +42,8 @@ type report = {
   sdc_patterns : int;
   odc_patterns : int;
   disagreements : int;
+  sim_decided : int;
+  sat_queries : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -106,61 +104,218 @@ let sat_masks nl (w : Window.t) =
   (!sdc, !odc)
 
 (* ------------------------------------------------------------------ *)
-(* BDD engine: window functions over the leaf variables, exact. *)
+(* Auto engine: simulate first, prove with SAT.  The window is compiled
+   once into slot arrays — the leaves, the members in id order, then
+   one duplicate per TFO node with the centre's duplicate its
+   complement — so Gate.eval_words_at runs the miter over words of
+   patterns in place and the same arrays give the CNF its literals.  A
+   simulated word marks the fanin patterns it produces (reached) and
+   those at which a root pair differs (observed); observed patterns are
+   care, so only the rest can be don't cares, and every SDC/ODC verdict
+   above the cutoff is an UNSAT answer of the solver. *)
 
-let bdd_masks nl (w : Window.t) =
-  let nv = Array.length w.Window.leaves in
-  let man = Bdd.make_man ~nvars:(max 1 nv) in
-  let bdd = Hashtbl.create 64 in
-  Array.iteri (fun i l -> Hashtbl.replace bdd l (Bdd.var man i)) w.Window.leaves;
-  Array.iter
-    (fun n ->
-      let fb = Array.map (Hashtbl.find bdd) (Netlist.fanins nl n) in
-      Hashtbl.replace bdd n (Bdd.of_gate man (Netlist.gate nl n) fb))
-    w.Window.members;
-  let in_tfo = Hashtbl.create 16 in
-  Array.iter (fun n -> Hashtbl.replace in_tfo n ()) w.Window.tfo;
-  let bdd2 = Hashtbl.create 16 in
-  Hashtbl.replace bdd2 w.Window.center
-    (Bdd.bnot man (Hashtbl.find bdd w.Window.center));
-  Array.iter
-    (fun n ->
-      if n <> w.Window.center then begin
-        let fb =
-          Array.map
-            (fun f ->
-              if Hashtbl.mem in_tfo f then Hashtbl.find bdd2 f
-              else Hashtbl.find bdd f)
-            (Netlist.fanins nl n)
-        in
-        Hashtbl.replace bdd2 n (Bdd.of_gate man (Netlist.gate nl n) fb)
-      end)
-    w.Window.tfo;
-  let miter =
-    Array.fold_left
-      (fun acc r ->
-        Bdd.bor man acc
-          (Bdd.bxor man (Hashtbl.find bdd r) (Hashtbl.find bdd2 r)))
-      (Bdd.zero man) w.Window.roots
-  in
-  let fis = Netlist.fanins nl w.Window.center in
-  let k = Array.length fis in
-  let sdc = ref 0 and odc = ref 0 in
-  for m = 0 to (1 lsl k) - 1 do
-    let fb = ref (Bdd.one man) in
-    for i = 0 to k - 1 do
-      let f = Hashtbl.find bdd fis.(i) in
-      let f = if m land (1 lsl i) <> 0 then f else Bdd.bnot man f in
-      fb := Bdd.band man !fb f
-    done;
-    if Bdd.is_zero man !fb then sdc := !sdc lor (1 lsl m)
-    else if Bdd.is_zero man (Bdd.band man !fb miter) then
-      odc := !odc lor (1 lsl m)
+type sim = {
+  centre : int;
+  n_leaf : int;
+  gates : Gate.t array;  (* per slot; leaf entries are unused *)
+  fanins : int array array;  (* slot indices *)
+  vals : int array;  (* the current word of every slot *)
+  root_orig : int array;
+  root_dup : int array;
+  centre_fanins : int array;
+  mutable reached : int;  (* fanin patterns some simulated bit produced *)
+  mutable observed : int;  (* ... with a root pair differing *)
+}
+
+(* Position of [x] in the ascending array [a], or -1. *)
+let index_of a x =
+  let lo = ref 0 and hi = ref (Array.length a) and found = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let y = a.(mid) in
+    if y = x then begin
+      found := mid;
+      lo := !hi
+    end
+    else if y < x then lo := mid + 1
+    else hi := mid
   done;
-  (!sdc, !odc)
+  !found
+
+let compile nl (w : Window.t) =
+  let leaves = w.Window.leaves and members = w.Window.members in
+  let tfo = w.Window.tfo in
+  let nleaf = Array.length leaves and nmem = Array.length members in
+  let slot n =
+    let i = index_of leaves n in
+    if i >= 0 then i else nleaf + index_of members n
+  in
+  let dup n =
+    let i = index_of tfo n in
+    if i >= 0 then nleaf + nmem + i else slot n
+  in
+  let n = nleaf + nmem + Array.length tfo in
+  let gates = Array.make n Gate.Buf and fanins = Array.make n [||] in
+  let fill s g map fis =
+    gates.(s) <- g;
+    for j = 0 to Array.length fis - 1 do
+      fis.(j) <- map fis.(j)
+    done;
+    fanins.(s) <- fis
+  in
+  for i = 0 to nmem - 1 do
+    let m = members.(i) in
+    fill (nleaf + i) (Netlist.gate nl m) slot (Netlist.fanins nl m)
+  done;
+  for i = 0 to Array.length tfo - 1 do
+    let t = tfo.(i) in
+    if t = w.Window.center then fill (nleaf + nmem + i) Gate.Not slot [| t |]
+    else fill (nleaf + nmem + i) (Netlist.gate nl t) dup (Netlist.fanins nl t)
+  done;
+  {
+    centre = w.Window.center;
+    n_leaf = nleaf;
+    gates;
+    fanins;
+    vals = Array.make n 0;
+    root_orig = Array.map slot w.Window.roots;
+    root_dup = Array.map dup w.Window.roots;
+    centre_fanins = Array.map slot (Netlist.fanins nl w.Window.center);
+    reached = 0;
+    observed = 0;
+  }
+
+(* Split the [valid] bits of the current word by the centre's fanin
+   values and record, per pattern, whether it occurs and whether
+   [diff] is set at one of its occurrences. *)
+let rec mark c diff i m w =
+  if w <> 0 then
+    if i = Array.length c.centre_fanins then begin
+      c.reached <- c.reached lor (1 lsl m);
+      if w land diff <> 0 then c.observed <- c.observed lor (1 lsl m)
+    end
+    else begin
+      let f = c.vals.(c.centre_fanins.(i)) in
+      mark c diff (i + 1) (m lor (1 lsl i)) (w land f);
+      mark c diff (i + 1) m (w land lnot f)
+    end
+
+(* Evaluate every slot from the leaf words already in [vals], then mark
+   the patterns of the [valid] bits. *)
+let simulate c ~valid =
+  let vals = c.vals in
+  for s = c.n_leaf to Array.length vals - 1 do
+    vals.(s) <- Gate.eval_words_at c.gates.(s) vals c.fanins.(s)
+  done;
+  let diff = ref 0 in
+  for r = 0 to Array.length c.root_orig - 1 do
+    diff := !diff lor (vals.(c.root_orig.(r)) lxor vals.(c.root_dup.(r)))
+  done;
+  mark c !diff 0 0 valid
+
+(* Exhaustive words carry 32 patterns (a 63-bit int holds no 64): leaf
+   [i < 5] takes the fixed in-word pattern, leaf [i >= 5] bit [i - 5]
+   of the word index. *)
+let in_word = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
+
+let simulate_exhaustive c =
+  let valid = (1 lsl (1 lsl min c.n_leaf 5)) - 1 in
+  for w = 0 to (1 lsl max 0 (c.n_leaf - 5)) - 1 do
+    for i = 0 to c.n_leaf - 1 do
+      c.vals.(i) <-
+        (if i < 5 then in_word.(i)
+         else if (w lsr (i - 5)) land 1 = 1 then -1
+         else 0)
+    done;
+    simulate c ~valid
+  done
+
+(* Random words before the first solver call, seeded from the centre
+   alone so a window's queries do not depend on the job count or on
+   the windows analysed before it. *)
+let sim_words = 4
+
+let random_word rng =
+  let b () = Random.State.bits rng in
+  b () lor (b () lsl 30) lor (b () lsl 60)
+
+(* The window miter as CNF over the compiled slots, in slot order. *)
+let cnf_of c =
+  let s = Solver.create () in
+  let b = Cnf.create s in
+  let lits = Array.make (Array.length c.vals) 0 in
+  for i = 0 to c.n_leaf - 1 do
+    lits.(i) <- Cnf.fresh b
+  done;
+  for i = c.n_leaf to Array.length lits - 1 do
+    lits.(i) <-
+      Cnf.gate b c.gates.(i) (Array.map (fun f -> lits.(f)) c.fanins.(i))
+  done;
+  let diff =
+    Cnf.or_ b
+      (Array.init (Array.length c.root_orig) (fun r ->
+           Cnf.xor_ b lits.(c.root_orig.(r)) lits.(c.root_dup.(r))))
+  in
+  (s, lits, diff)
+
+let auto_masks ~cutoff c =
+  let k = Array.length c.centre_fanins in
+  let full = (1 lsl (1 lsl k)) - 1 in
+  if c.n_leaf <= cutoff then begin
+    simulate_exhaustive c;
+    (full land lnot c.reached, c.reached land lnot c.observed, 0)
+  end
+  else begin
+    let rng = Random.State.make [| c.centre |] in
+    for _ = 1 to sim_words do
+      for i = 0 to c.n_leaf - 1 do
+        c.vals.(i) <- random_word rng
+      done;
+      simulate c ~valid:(-1)
+    done;
+    if c.observed = full then (0, 0, 0)
+    else begin
+      let s, lits, diff = cnf_of c in
+      let queries = ref 0 in
+      (* A Sat model becomes one word: bit 0 is the model, bit [i + 1]
+         the model with leaf [i] flipped (the first 62 leaves). *)
+      let holds assumptions =
+        incr queries;
+        match Solver.solve ~assumptions s with
+        | Solver.Unsat -> false
+        | Solver.Sat ->
+            for i = 0 to c.n_leaf - 1 do
+              let v =
+                if Solver.value s (Solver.var_of lits.(i)) then -1 else 0
+              in
+              c.vals.(i) <- (if i < 62 then v lxor (1 lsl (i + 1)) else v)
+            done;
+            simulate c ~valid:(-1);
+            true
+      in
+      let sdc = ref 0 and odc = ref 0 in
+      for m = 0 to (1 lsl k) - 1 do
+        let bit = 1 lsl m in
+        if c.observed land bit = 0 then begin
+          let assumptions =
+            List.init k (fun i ->
+                let l = lits.(c.centre_fanins.(i)) in
+                if m land (1 lsl i) <> 0 then l else Solver.lnot l)
+          in
+          if c.reached land bit = 0 && not (holds assumptions) then
+            sdc := !sdc lor bit
+          else if c.observed land bit = 0 && not (holds (diff :: assumptions))
+          then odc := !odc lor bit
+        end
+      done;
+      (!sdc, !odc, !queries)
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-node dispatch. *)
+
+let popcount = Bitvec.Minterm.popcount
 
 let is_candidate nl v =
   v >= Netlist.ni nl
@@ -169,32 +324,32 @@ let is_candidate nl v =
   | Gate.Input _ | Gate.Const _ -> false
   | _ -> Array.length (Netlist.fanins nl v) >= 1
 
+(* [(sdc, odc, agree, solver calls)] of one window.  The per-pattern
+   sweep makes one SDC query per pattern plus one ODC query per
+   producible pattern. *)
 let node_masks nl ~config w =
-  let engine =
-    match config.backend with
-    | Sat_engine -> `Sat
-    | Bdd_engine -> `Bdd
-    | Differential -> `Both
-    | Auto ->
-        if Array.length w.Window.leaves <= config.auto_cutoff then `Bdd
-        else `Sat
+  let sat () =
+    let s, o = sat_masks nl w in
+    let k = Array.length (Netlist.fanins nl w.Window.center) in
+    (s, o, (2 lsl k) - popcount s)
   in
-  match engine with
-  | `Sat ->
-      let s, o = sat_masks nl w in
-      (s, o, None)
-  | `Bdd ->
-      let s, o = bdd_masks nl w in
-      (s, o, None)
-  | `Both ->
-      let s1, o1 = sat_masks nl w in
-      let s2, o2 = bdd_masks nl w in
-      if s1 = s2 && o1 = o2 then (s1, o1, Some true)
-      else (s1 land s2, o1 land o2, Some false)
+  let auto () = auto_masks ~cutoff:config.auto_cutoff (compile nl w) in
+  match config.backend with
+  | Sat_engine ->
+      let s, o, q = sat () in
+      (s, o, None, q)
+  | Auto ->
+      let s, o, q = auto () in
+      (s, o, None, q)
+  | Differential ->
+      let s1, o1, q1 = sat () in
+      let s2, o2, q2 = auto () in
+      if s1 = s2 && o1 = o2 then (s1, o1, Some true, q1 + q2)
+      else (s1 land s2, o1 land o2, Some false, q1 + q2)
 
 let analyze_node nl fanouts ~config v =
   let w = Window.extract nl ~fanouts ~depth:config.depth v in
-  let sdc, odc, agree = node_masks nl ~config w in
+  let sdc, odc, agree, sat_queries = node_masks nl ~config w in
   {
     node = v;
     gate_name = Gate.name (Netlist.gate nl v);
@@ -205,25 +360,27 @@ let analyze_node nl fanouts ~config v =
     sdc;
     odc;
     agree;
+    sat_queries;
   }
 
 let masks_of nl ~config v =
   let fanouts = Window.fanouts nl in
   let w = Window.extract nl ~fanouts ~depth:config.depth v in
-  let sdc, odc, _ = node_masks nl ~config w in
+  let sdc, odc, _, _ = node_masks nl ~config w in
   (sdc, odc)
-
-let popcount = Bitvec.Minterm.popcount
 
 let build_report ~skipped nodes =
   let analyzed = List.length nodes in
   let with_dc = ref 0 and sdcs = ref 0 and odcs = ref 0 and dis = ref 0 in
+  let sim = ref 0 and queries = ref 0 in
   List.iter
-    (fun r ->
+    (fun (r : node_report) ->
       if r.sdc lor r.odc <> 0 then incr with_dc;
       sdcs := !sdcs + popcount r.sdc;
       odcs := !odcs + popcount r.odc;
-      if r.agree = Some false then incr dis)
+      if r.agree = Some false then incr dis;
+      if r.sat_queries = 0 then incr sim;
+      queries := !queries + r.sat_queries)
     nodes;
   {
     nodes;
@@ -233,6 +390,8 @@ let build_report ~skipped nodes =
     sdc_patterns = !sdcs;
     odc_patterns = !odcs;
     disagreements = !dis;
+    sim_decided = !sim;
+    sat_queries = !queries;
   }
 
 let candidates nl ~config =
@@ -352,7 +511,7 @@ let optimize ?(config = default_config) ?(strategy = Complete) nl =
 (* ------------------------------------------------------------------ *)
 (* JSON forms. *)
 
-let node_to_json r =
+let node_to_json (r : node_report) =
   J.Obj
     [
       ("node", J.Int r.node);
@@ -367,6 +526,7 @@ let node_to_json r =
       ("odc_patterns", J.Int (popcount r.odc));
       ( "backends_agree",
         match r.agree with None -> J.Null | Some v -> J.Bool v );
+      ("sat_queries", J.Int r.sat_queries);
     ]
 
 let report_to_json r =
@@ -378,6 +538,8 @@ let report_to_json r =
       ("sdc_patterns", J.Int r.sdc_patterns);
       ("odc_patterns", J.Int r.odc_patterns);
       ("disagreements", J.Int r.disagreements);
+      ("sim_decided", J.Int r.sim_decided);
+      ("sat_queries", J.Int r.sat_queries);
       ("nodes", J.List (List.map node_to_json r.nodes));
     ]
 

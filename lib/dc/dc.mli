@@ -10,13 +10,18 @@
     - {e observability don't cares} (ODC): producible patterns at
       which complementing [v] never changes any window root.
 
-    Two exact engines answer the window queries — a CDCL SAT sweep
-    over the miter CNF ({!Sat}) and a BDD evaluation over the window
-    leaves ({!Bdd}) — mirroring {!Check.Netlist_check}'s
-    Exhaustive/BDD split; [Differential] runs both and flags any
-    disagreement.  Windowing makes both conservative: every reported
-    pattern is a true network don't care (DESIGN.md §13), unlike
-    {!Rdca_core.Decompose} which needs the full [2^ni] simulation.
+    Two exact engines answer the window queries.  [Sat_engine] is a
+    CDCL sweep over the miter CNF, two assumption queries per pattern;
+    it is the reference.  [Auto] simulates first: a simulated pattern
+    that reaches [p] rules out an SDC at [p], and one that also flips
+    a root rules out an ODC, so only the patterns simulation leaves
+    open go to the solver, and every reported don't care is still an
+    UNSAT answer (windows of at most [auto_cutoff] leaves are
+    simulated exhaustively and need no solver).  [Differential] runs
+    both and flags any disagreement.  Windowing makes both
+    conservative: every reported pattern is a true network don't care
+    (DESIGN.md §13), unlike {!Rdca_core.Decompose} which needs the
+    full [2^ni] simulation.
 
     {!optimize} feeds the recovered DCs to the paper's assignment
     machinery: each node's local function becomes a 1-output
@@ -26,10 +31,15 @@
     current netlist, so every rewrite is individually
     function-preserving and the sweep composes soundly. *)
 
-(** Engine selection. [Auto] uses the BDD engine when the window has
-    at most [auto_cutoff] leaves and SAT beyond; [Differential] runs
-    both and compares bit-identically. *)
-type backend = Auto | Sat_engine | Bdd_engine | Differential
+(** Engine selection.  [Auto] simulates the window exhaustively when
+    it has at most [auto_cutoff] leaves.  Beyond, it simulates random
+    words seeded from the centre id (so the result and the solver work
+    do not depend on the job count), then asks the SAT solver only
+    about the patterns still open, simulating each satisfying model
+    with its distance-1 leaf flips before the next query.
+    [Sat_engine] answers every pattern with the solver.  [Differential]
+    runs both and compares bit-identically. *)
+type backend = Auto | Sat_engine | Differential
 
 (** Every backend once, with its CLI/JSON name. *)
 val backends : (string * backend) list
@@ -39,7 +49,9 @@ val backend_name : backend -> string
 type config = {
   depth : int;  (** window TFI/TFO depth (default 2) *)
   backend : backend;  (** default [Auto] *)
-  auto_cutoff : int;  (** [Auto] leaf-count switchover (default 12) *)
+  auto_cutoff : int;
+      (** [Auto] simulates windows with at most this many leaves
+          exhaustively, [2^leaves] patterns (default 12) *)
   max_arity : int;
       (** skip nodes with more fanins (default {!Logic.Truth.max_vars}) *)
 }
@@ -60,6 +72,9 @@ type node_report = {
   agree : bool option;
       (** [Differential] only: did the engines match?  On a mismatch
           the masks are intersected (still flagged as a failure). *)
+  sat_queries : int;
+      (** solver calls made for this window, over every engine that
+          ran; 0 when simulation decided it *)
 }
 
 type report = {
@@ -70,6 +85,8 @@ type report = {
   sdc_patterns : int;  (** total SDC patterns over all nodes *)
   odc_patterns : int;
   disagreements : int;  (** nonzero only under [Differential] *)
+  sim_decided : int;  (** nodes whose window needed no solver call *)
+  sat_queries : int;  (** solver calls over all nodes *)
 }
 
 (** [analyze ?config nl] computes the window don't cares of

@@ -290,7 +290,7 @@ let checked_rewrite ~subject ~code ~engines ~units ?equiv ~spec rewrite =
 let optimize_checked ?config ?dc_strategy ?equiv ~spec nl =
   let module Dc = Rdca_dc.Dc in
   checked_rewrite ~subject:"dc-optimize" ~code:"dc-backend-mismatch"
-    ~engines:"SAT and BDD don't-care engines" ~units:"window(s)" ?equiv ~spec
+    ~engines:"Auto and SAT don't-care engines" ~units:"window(s)" ?equiv ~spec
     (fun () ->
       let opt = Dc.optimize ?config ?strategy:dc_strategy nl in
       (opt, opt.Dc.netlist, opt.Dc.opt_report.Dc.disagreements))

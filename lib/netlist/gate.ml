@@ -56,35 +56,55 @@ let eval g inputs =
       Logic.Truth.eval c.tt !idx
 
 (* Word-parallel evaluation: every bit position is an independent
-   pattern.  Cell truth tables are evaluated as a sum of minterms over
-   the fanin words (at most 2^4 terms for mapped cells). *)
-let eval_words g inputs =
-  check_arity g inputs;
-  let full = -1 in
+   pattern, and fanin [i]'s word is read in place from
+   [words.(fanins.(i))].  [cell_word] is the truth table [tt] over the
+   words of the first [i] fanins, expanded by Shannon on the last one;
+   equal halves skip that fanin. *)
+let rec cell_word words fanins tt i =
+  if i = 0 then -(tt land 1)
+  else
+    let half = 1 lsl (i - 1) in
+    let lo = tt land ((1 lsl half) - 1) and hi = tt lsr half in
+    if lo = hi then cell_word words fanins lo (i - 1)
+    else
+      let f0 = cell_word words fanins lo (i - 1) in
+      let f1 = cell_word words fanins hi (i - 1) in
+      f0 lxor (words.(fanins.(i - 1)) land (f0 lxor f1))
+
+let and_words words fanins =
+  let acc = ref (-1) in
+  for j = 0 to Array.length fanins - 1 do
+    acc := !acc land words.(fanins.(j))
+  done;
+  !acc
+
+let or_words words fanins =
+  let acc = ref 0 in
+  for j = 0 to Array.length fanins - 1 do
+    acc := !acc lor words.(fanins.(j))
+  done;
+  !acc
+
+let xor_words words fanins =
+  let acc = ref 0 in
+  for j = 0 to Array.length fanins - 1 do
+    acc := !acc lxor words.(fanins.(j))
+  done;
+  !acc
+
+let eval_words_at g words fanins =
   match g with
-  | Input _ -> invalid_arg "Gate.eval_words: Input has no local function"
-  | Const b -> if b then full else 0
-  | Buf -> inputs.(0)
-  | Not -> lnot inputs.(0)
-  | And -> Array.fold_left ( land ) full inputs
-  | Or -> Array.fold_left ( lor ) 0 inputs
-  | Nand -> lnot (Array.fold_left ( land ) full inputs)
-  | Nor -> lnot (Array.fold_left ( lor ) 0 inputs)
-  | Xor -> Array.fold_left ( lxor ) 0 inputs
-  | Xnor -> lnot (Array.fold_left ( lxor ) 0 inputs)
-  | Cell c ->
-      let acc = ref 0 in
-      for idx = 0 to (1 lsl c.arity) - 1 do
-        if Logic.Truth.eval c.tt idx then begin
-          let term = ref full in
-          for i = 0 to c.arity - 1 do
-            let w = inputs.(i) in
-            term := !term land (if idx land (1 lsl i) <> 0 then w else lnot w)
-          done;
-          acc := !acc lor !term
-        end
-      done;
-      !acc
+  | Input _ -> invalid_arg "Gate.eval_words_at: Input has no local function"
+  | Const b -> if b then -1 else 0
+  | Buf -> words.(fanins.(0))
+  | Not -> lnot words.(fanins.(0))
+  | And -> and_words words fanins
+  | Or -> or_words words fanins
+  | Nand -> lnot (and_words words fanins)
+  | Nor -> lnot (or_words words fanins)
+  | Xor -> xor_words words fanins
+  | Xnor -> lnot (xor_words words fanins)
+  | Cell c -> cell_word words fanins c.tt c.arity
 
 let name = function
   | Input i -> Printf.sprintf "input[%d]" i

@@ -35,8 +35,11 @@ val arity : t -> int option
     @raise Invalid_argument on arity mismatch. *)
 val eval : t -> bool array -> bool
 
-(** [eval_words g inputs] evaluates 63 patterns at once, one per bit. *)
-val eval_words : t -> int array -> int
+(** [eval_words_at g words fanins] evaluates 63 patterns at once, one
+    per bit, reading fanin [i]'s word in place from
+    [words.(fanins.(i))].  The fanin count is not checked: it must
+    match [arity g], as {!Netlist} ensures for its nodes. *)
+val eval_words_at : t -> int array -> int array -> int
 
 (** [name g] is a printable mnemonic. *)
 val name : t -> string

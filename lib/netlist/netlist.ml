@@ -137,9 +137,7 @@ let simulate_all ?(override = fun _ w -> w) t visit =
     done;
     for id = t.ni to t.next - 1 do
       let n = t.nodes.(id) in
-      words.(id) <-
-        override id
-          (Gate.eval_words n.gate (Array.map (Array.get words) n.fanins))
+      words.(id) <- override id (Gate.eval_words_at n.gate words n.fanins)
     done;
     visit ~base:!base ~chunk words;
     base := !base + chunk

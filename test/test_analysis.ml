@@ -359,7 +359,7 @@ let test_backend_names () =
     ~all:Analysis.[ Exhaustive; Bdd_exact; Sampled; Auto ]
     ~name:Analysis.backend_name ();
   check_name_table "dc" Rdca_dc.Dc.backends
-    ~all:Rdca_dc.Dc.[ Auto; Sat_engine; Bdd_engine; Differential ]
+    ~all:Rdca_dc.Dc.[ Auto; Sat_engine; Differential ]
     ~name:Rdca_dc.Dc.backend_name ();
   check_name_table "atpg" Atpg.Engine.backends
     ~all:Atpg.Engine.[ Auto; Sat_engine; Exhaustive; Differential ]

@@ -1,7 +1,8 @@
 (* Tests for the windowed network don't-care analysis (lib/dc):
-   hand-built windows with known SDC/ODC masks, SAT-vs-BDD engine
-   agreement, conservativeness against the exhaustive Decompose
-   oracle, and function preservation of the optimize sweep. *)
+   hand-built windows with known SDC/ODC masks, Auto-vs-SAT engine
+   agreement on both sides of the exhaustive-simulation cutoff,
+   conservativeness against the exhaustive Decompose oracle, and
+   function preservation of the optimize sweep. *)
 
 module Dc = Rdca_dc.Dc
 module Window = Rdca_dc.Window
@@ -15,7 +16,19 @@ let check_int = Alcotest.(check int)
 let deep_config depth backend =
   { Dc.default_config with Dc.depth; backend }
 
-let both_engines = [ Dc.Sat_engine; Dc.Bdd_engine; Dc.Differential ]
+(* Every engine, with Auto and Differential also at cutoff 0, where
+   every window with a leaf takes the random-simulation + SAT path. *)
+let engine_configs =
+  List.concat_map
+    (fun backend ->
+      let c = deep_config 2 backend in
+      if backend = Dc.Sat_engine then [ ("sat", c) ]
+      else
+        [
+          (Dc.backend_name backend, c);
+          (Dc.backend_name backend ^ "/0", { c with Dc.auto_cutoff = 0 });
+        ])
+    [ Dc.Sat_engine; Dc.Auto; Dc.Differential ]
 
 (* x OR (x AND y): absorption — when x=1 the AND is masked. *)
 let absorption () =
@@ -28,14 +41,13 @@ let absorption () =
 let test_absorption_odc () =
   let nl, a, _ = absorption () in
   List.iter
-    (fun backend ->
-      let config = deep_config 2 backend in
+    (fun (name, config) ->
       let sdc, odc = Dc.masks_of nl ~config a in
       (* Fanins of the AND are (x, y): patterns 1 (x=1,y=0) and
          3 (x=1,y=1) have x=1, so the OR output is 1 either way. *)
-      check_int (Dc.backend_name backend ^ " absorption sdc") 0 sdc;
-      check_int (Dc.backend_name backend ^ " absorption odc") 0b1010 odc)
-    both_engines
+      check_int (name ^ " absorption sdc") 0 sdc;
+      check_int (name ^ " absorption odc") 0b1010 odc)
+    engine_configs
 
 (* AND(x, NOT x): the two agreeing fanin patterns are unreachable. *)
 let test_inverter_sdc () =
@@ -44,13 +56,12 @@ let test_inverter_sdc () =
   let a = Netlist.add nl Gate.And [| 0; n |] in
   Netlist.set_outputs nl [| a |];
   List.iter
-    (fun backend ->
-      let config = deep_config 2 backend in
+    (fun (name, config) ->
       let sdc, odc = Dc.masks_of nl ~config a in
       (* patterns (x, n): 0b00 and 0b11 contradict n = !x *)
-      check_int (Dc.backend_name backend ^ " sdc") 0b1001 sdc;
-      check_int (Dc.backend_name backend ^ " odc") 0 odc)
-    both_engines
+      check_int (name ^ " sdc") 0b1001 sdc;
+      check_int (name ^ " odc") 0 odc)
+    engine_configs
 
 let test_dead_gate_all_odc () =
   (* AND-with-0 downstream masks the node entirely. *)
@@ -60,12 +71,11 @@ let test_dead_gate_all_odc () =
   let gated = Netlist.add nl Gate.And [| dead; zero |] in
   Netlist.set_outputs nl [| gated |];
   List.iter
-    (fun backend ->
-      let config = deep_config 2 backend in
+    (fun (name, config) ->
       let sdc, odc = Dc.masks_of nl ~config dead in
-      check_int (Dc.backend_name backend ^ " dead sdc") 0 sdc;
-      check_int (Dc.backend_name backend ^ " dead odc") 0b1111 odc)
-    both_engines
+      check_int (name ^ " dead sdc") 0 sdc;
+      check_int (name ^ " dead odc") 0b1111 odc)
+    engine_configs
 
 let test_observable_node_no_dc () =
   (* A lone XOR driving the output: everything reachable, everything
@@ -74,12 +84,11 @@ let test_observable_node_no_dc () =
   let x = Netlist.add nl Gate.Xor [| 0; 1 |] in
   Netlist.set_outputs nl [| x |];
   List.iter
-    (fun backend ->
-      let config = deep_config 2 backend in
+    (fun (name, config) ->
       let sdc, odc = Dc.masks_of nl ~config x in
-      check_int (Dc.backend_name backend ^ " xor sdc") 0 sdc;
-      check_int (Dc.backend_name backend ^ " xor odc") 0 odc)
-    both_engines
+      check_int (name ^ " xor sdc") 0 sdc;
+      check_int (name ^ " xor odc") 0 odc)
+    engine_configs
 
 let test_window_shape () =
   let nl, a, o = absorption () in
@@ -122,7 +131,7 @@ let test_analyze_parallel_identical () =
 let test_optimize_absorption () =
   let nl, a, _ = absorption () in
   let before = Netlist.output_tables nl in
-  let r = Dc.optimize ~config:(deep_config 2 Dc.Bdd_engine) nl in
+  let r = Dc.optimize ~config:(deep_config 2 Dc.Auto) nl in
   check "input untouched" true
     (Array.for_all2 Bitvec.Bv.equal before (Netlist.output_tables nl));
   check "io preserved" true
@@ -142,7 +151,10 @@ let test_json_shape () =
   in
   List.iter
     (fun key -> check (key ^ " in json") true (contains ("\"" ^ key ^ "\"")))
-    [ "rewritten_nodes"; "analysis"; "odc_mask"; "backends_agree" ]
+    [
+      "rewritten_nodes"; "analysis"; "odc_mask"; "backends_agree";
+      "sat_queries"; "sim_decided";
+    ]
 
 (* Random mapped netlists, via the same pipeline the flow uses. *)
 let random_netlist phases =
@@ -160,16 +172,21 @@ let random_netlist phases =
 let phases_arb = QCheck.(list_of_size (QCheck.Gen.return 32) (int_bound 2))
 
 let prop_engines_agree =
-  QCheck.Test.make ~name:"sat and bdd masks bit-identical on every window"
+  QCheck.Test.make ~name:"auto and sat masks identical on every window"
     ~count:60
     QCheck.(pair phases_arb (QCheck.int_range 1 3))
     (fun (phases, depth) ->
       let _, nl = random_netlist phases in
-      let report =
-        Dc.analyze ~config:(deep_config depth Dc.Differential) nl
-      in
-      report.Dc.disagreements = 0
-      && List.for_all (fun r -> r.Dc.agree = Some true) report.Dc.nodes)
+      List.for_all
+        (fun auto_cutoff ->
+          let report =
+            Dc.analyze
+              ~config:{ (deep_config depth Dc.Differential) with Dc.auto_cutoff }
+              nl
+          in
+          report.Dc.disagreements = 0
+          && List.for_all (fun r -> r.Dc.agree = Some true) report.Dc.nodes)
+        [ 0; 12 ])
 
 let prop_window_dc_conservative =
   QCheck.Test.make
@@ -178,7 +195,7 @@ let prop_window_dc_conservative =
     (fun (phases, depth) ->
       let _, nl = random_netlist phases in
       let reachable = Decompose.local_patterns nl in
-      let report = Dc.analyze ~config:(deep_config depth Dc.Bdd_engine) nl in
+      let report = Dc.analyze ~config:(deep_config depth Dc.Auto) nl in
       List.for_all
         (fun r ->
           let full = (1 lsl (1 lsl r.Dc.arity)) - 1 in
@@ -218,7 +235,7 @@ let prop_optimize_care_equivalence =
              (fun d -> d.Check.Diag.severity = Check.Diag.Error)
              diags)
       in
-      let r = Dc.optimize ~config:(deep_config 2 Dc.Bdd_engine) nl in
+      let r = Dc.optimize ~config:(deep_config 2 Dc.Auto) nl in
       clean (Check.Netlist_check.equiv_spec ~spec nl)
       && clean (Check.Netlist_check.equiv_spec ~spec r.Dc.netlist))
 
@@ -227,7 +244,7 @@ let prop_zero_dc_is_identity =
     phases_arb
     (fun phases ->
       let _, nl = random_netlist phases in
-      let r = Dc.optimize ~config:(deep_config 2 Dc.Bdd_engine) nl in
+      let r = Dc.optimize ~config:(deep_config 2 Dc.Auto) nl in
       let rp = r.Dc.opt_report in
       (* No recovered flexibility -> identity; and in general a node is
          only rewritten when it had DC patterns. *)
@@ -247,7 +264,7 @@ let prop_optimize_fixpoint =
     phases_arb
     (fun phases ->
       let _, nl = random_netlist phases in
-      let config = deep_config 2 Dc.Bdd_engine in
+      let config = deep_config 2 Dc.Auto in
       (* Iterate to a fixpoint (bounded); each step preserves the
          output functions, so so does the limit. *)
       let before = Netlist.output_tables nl in
@@ -262,6 +279,88 @@ let prop_optimize_fixpoint =
       let r = Dc.optimize ~config fixed in
       r.Dc.rewritten = []
       && Array.for_all2 Bitvec.Bv.equal before (Netlist.output_tables fixed))
+
+(* fout's depth-2 windows reach 25 leaves, past the cutoff, so Auto's
+   random simulation, CNF and model expansion all run at the default;
+   p3's stay at 11 or fewer, so both also run at cutoff 0. *)
+let test_auto_matches_sat_on_suite () =
+  List.iter
+    (fun name ->
+      let spec = Synthetic.Suite.load_by_name name in
+      let nl =
+        (Rdca_flow.Flow.synthesize ~mode:Techmap.Mapper.Area
+           ~strategy:Rdca_flow.Flow.Conventional spec)
+          .Rdca_flow.Flow.netlist
+      in
+      let analyze config = (Dc.analyze ~config nl).Dc.nodes in
+      let masks config =
+        List.map (fun r -> (r.Dc.node, r.Dc.sdc, r.Dc.odc)) (analyze config)
+      in
+      let sat = masks (deep_config 2 Dc.Sat_engine) in
+      List.iter
+        (fun auto_cutoff ->
+          check
+            (Printf.sprintf "%s auto/%d = sat" name auto_cutoff)
+            true
+            (masks { (deep_config 2 Dc.Auto) with Dc.auto_cutoff } = sat))
+        [ 0; 12 ];
+      if name = "fout" then
+        check "fout has windows over the cutoff" true
+          (List.exists
+             (fun r -> r.Dc.n_leaves > Dc.default_config.Dc.auto_cutoff)
+             (analyze (deep_config 2 Dc.Auto))))
+    [ "fout"; "p3" ]
+
+let sat_counters () =
+  List.map
+    (fun c -> Prof.value (Prof.counter c))
+    [ "sat.conflicts"; "sat.decisions"; "sat.propagations"; "sat.restarts" ]
+
+(* A lone XOR is observable at every pattern, so the random words
+   decide it and no solver runs; the inverter's SDCs need proofs. *)
+let test_observed_window_skips_solver () =
+  let xor = Netlist.create ~ni:2 in
+  let x = Netlist.add xor Gate.Xor [| 0; 1 |] in
+  Netlist.set_outputs xor [| x |];
+  let config = { (deep_config 2 Dc.Auto) with Dc.auto_cutoff = 0 } in
+  let before = sat_counters () in
+  let r = Dc.analyze ~config xor in
+  check "no sat.* work" true (sat_counters () = before);
+  check_int "sim decided" 1 r.Dc.sim_decided;
+  check_int "report queries" 0 r.Dc.sat_queries;
+  check "node queries" true
+    (List.for_all (fun (n : Dc.node_report) -> n.Dc.sat_queries = 0) r.Dc.nodes);
+  let inv = Netlist.create ~ni:1 in
+  let n = Netlist.add inv Gate.Not [| 0 |] in
+  let a = Netlist.add inv Gate.And [| 0; n |] in
+  Netlist.set_outputs inv [| a |];
+  let before = sat_counters () in
+  let r = Dc.analyze ~config inv in
+  check "sdc proofs ran the solver" true (sat_counters () <> before);
+  check "sdc proofs counted" true (r.Dc.sat_queries > 0);
+  let sat = Dc.analyze ~config:(deep_config 2 Dc.Sat_engine) inv in
+  (* Two patterns per fanin pair; the SDCs take one query each. *)
+  check_int "sat engine queries" 10 sat.Dc.sat_queries;
+  check_int "sat engine decides nothing by simulation" 0 sat.Dc.sim_decided
+
+(* NOT(const 1): a window without leaves.  Pattern 0 of the constant
+   fanin is unreachable; pattern 1 is observed. *)
+let test_zero_leaf_window () =
+  let nl = Netlist.create ~ni:0 in
+  let c = Netlist.add nl (Gate.Const true) [||] in
+  let v = Netlist.add nl Gate.Not [| c |] in
+  Netlist.set_outputs nl [| v |];
+  let fanouts = Window.fanouts nl in
+  check_int "no leaves" 0
+    (Array.length (Window.extract nl ~fanouts ~depth:2 v).Window.leaves);
+  List.iter
+    (fun (name, config) ->
+      let sdc, odc = Dc.masks_of nl ~config v in
+      check_int (name ^ " sdc") 0b01 sdc;
+      check_int (name ^ " odc") 0 odc)
+    (* cutoff -1 sends the window past the exhaustive path *)
+    (("auto/-1", { (deep_config 2 Dc.Auto) with Dc.auto_cutoff = -1 })
+    :: engine_configs)
 
 let suite =
   ( "dc",
@@ -278,6 +377,11 @@ let suite =
       Alcotest.test_case "optimize absorption" `Quick
         test_optimize_absorption;
       Alcotest.test_case "json shape" `Quick test_json_shape;
+      Alcotest.test_case "auto matches sat on fout and p3" `Quick
+        test_auto_matches_sat_on_suite;
+      Alcotest.test_case "observed window skips the solver" `Quick
+        test_observed_window_skips_solver;
+      Alcotest.test_case "zero-leaf window" `Quick test_zero_leaf_window;
       QCheck_alcotest.to_alcotest prop_engines_agree;
       QCheck_alcotest.to_alcotest prop_window_dc_conservative;
       QCheck_alcotest.to_alcotest prop_optimize_preserves_functions;

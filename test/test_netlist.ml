@@ -157,6 +157,49 @@ let prop_signal_probs_match_tables =
         outs;
       !ok)
 
+(* Gate.eval_words_at against Gate.eval, bit by bit, for every gate
+   kind (cells of arity 0-5 included); fanins index a shared word array
+   and may repeat. *)
+let prop_eval_words_at_matches_eval =
+  QCheck.Test.make ~name:"eval_words_at agrees with eval on every bit"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let bits () = Random.State.bits rng in
+      let word () = bits () lor (bits () lsl 30) lor (bits () lsl 60) in
+      let words = Array.init 6 (fun _ -> word ()) in
+      let g, k =
+        match Random.State.int rng 10 with
+        | 0 -> (Gate.Const (Random.State.bool rng), 0)
+        | 1 -> (Gate.Buf, 1)
+        | 2 -> (Gate.Not, 1)
+        | 3 ->
+            let arity = Random.State.int rng (Truth.max_vars + 1) in
+            let tt = Truth.of_fun arity (fun _ -> Random.State.bool rng) in
+            ( Gate.Cell
+                {
+                  Gate.cell_name = "rand";
+                  tt;
+                  arity;
+                  area = 1.0;
+                  delay = 1.0;
+                  input_cap = 1.0;
+                },
+              arity )
+        | i ->
+            ( [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor |]
+              .(i - 4),
+              2 + Random.State.int rng 4 )
+      in
+      let fanins = Array.init k (fun _ -> Random.State.int rng 6) in
+      let w = Gate.eval_words_at g words fanins in
+      let ok = ref true in
+      for b = 0 to 62 do
+        let bit x = (x lsr b) land 1 = 1 in
+        let inputs = Array.map (fun f -> bit words.(f)) fanins in
+        if bit w <> Gate.eval g inputs then ok := false
+      done;
+      !ok)
+
 let suite =
   ( "netlist",
     [
@@ -173,6 +216,7 @@ let suite =
         test_delay_depth_relation;
       QCheck_alcotest.to_alcotest prop_tables_match_scalar;
       QCheck_alcotest.to_alcotest prop_signal_probs_match_tables;
+      QCheck_alcotest.to_alcotest prop_eval_words_at_matches_eval;
     ] )
 
 (* replace_gate. *)
