@@ -5,19 +5,15 @@
      assign     apply a DC assignment strategy to a .pla, write .pla
      synth      full flow: assignment, espresso, AIG, techmap; print report
      faultsim   gate-level fault-injection campaign vs input-error rates
-     campaign   supervised multi-process fault campaign (checkpoint/resume)
      gen        generate a synthetic benchmark (.pla)
      estimate   analytical min-max reliability estimates vs exact bounds
      check      static lints + cover/netlist audits (text or JSON report)
      optimize   windowed ODC/SDC recovery + checked node rewriting
      testability SAT-based stuck-at testability + checked redundancy removal
-     suite      list the built-in Table 1 benchmark suite
-     worker     serve supervised tasks over stdin/stdout (internal) *)
+     suite      list the built-in Table 1 benchmark suite *)
 
 open Cmdliner
 module Flow = Rdca_flow.Flow
-module Distrib = Rdca_flow.Distrib
-module Sup = Resilient.Supervisor
 module Interrupt = Resilient.Interrupt
 module Campaign = Reliability.Campaign
 
@@ -353,8 +349,8 @@ let synth_cmd =
       $ shared $ blif_out $ verilog_out $ cube_budget_arg
       $ espresso_seconds_arg $ analysis_backend_arg $ jobs_arg)
 
-(* Shared by faultsim and campaign: campaign flags, their validation
-   and the campaign configuration. *)
+(* faultsim's campaign flags, their validation and the campaign
+   configuration. *)
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"RNG seed.")
 
@@ -413,8 +409,8 @@ let dead_sites_for nl kinds =
         kinds)
     (Reliability.Inject.sites nl)
 
-(* The campaign faultsim and campaign run on a synthesized netlist,
-   minus the statically dead sites under --skip-untestable. *)
+(* The campaign faultsim runs on a synthesized netlist, minus the
+   statically dead sites under --skip-untestable. *)
 let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
     ~skip_untestable nl =
   let config =
@@ -435,8 +431,8 @@ let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
     { config with Campaign.dead_sites = dead }
   end
 
-(* The in-process per-strategy comparison; supervised multi-process
-   campaigns are rdca campaign's job. *)
+(* The fault-injection front end: one campaign per strategy, in
+   process on the shared domain pool. *)
 let faultsim_cmd =
   let module Fault_sim = Reliability.Fault_sim in
   let module J = Rdca_json.Jsonout in
@@ -513,9 +509,7 @@ let faultsim_cmd =
             | report ->
                 Fmt.pr "%a@." Campaign.pp_report report;
                 docs :=
-                  ( Flow.strategy_name strategy,
-                    Distrib.campaign_report_to_json report ~events:[]
-                      ~interrupted:false )
+                  (Flow.strategy_name strategy, Campaign.report_to_json report)
                   :: !docs;
                 write_json ~interrupted:false
             | exception Invalid_argument msg ->
@@ -550,186 +544,6 @@ let faultsim_cmd =
       $ max_sites_arg $ time_budget $ confidence_arg $ cube_budget_arg
       $ espresso_seconds_arg $ no_baseline $ skip_untestable_arg
       $ json_arg "the campaign reports" $ analysis_backend_arg $ jobs_arg)
-
-(* The supervised campaign subcommand: one strategy, full control over
-   the supervisor (workers, deadlines, retries, chaos), shard
-   checkpointing and resume.  Exit codes: 0 complete, 3 partial
-   (interrupted or permanently failed shards), 1 errors. *)
-let campaign_cmd =
-  let module J = Rdca_json.Jsonout in
-  let run input strategy mode seed trials max_sites confidence skip_untestable
-      workers shard_size deadline retries backoff checkpoint resume stop_after
-      chaos chaos_seed json_out analysis jobs =
-    with_jobs_opt jobs @@ fun () ->
-    with_spec input @@ fun spec ->
-    let bad_arg =
-      match campaign_arg_error ~trials ~confidence ~max_sites with
-      | Some m -> Some m
-      | None ->
-          if shard_size < 1 then Some "--shard-size must be at least 1"
-          else if retries < 0 then Some "--retries must be non-negative"
-          else if not (chaos >= 0.0 && chaos <= 1.0) then
-            Some "--chaos must be between 0 and 1"
-          else if chaos > 0.0 && deadline <= 0.0 then
-            Some "--chaos needs a positive --deadline (stalled workers are \
-                  only recovered by the per-task deadline)"
-          else if resume && checkpoint = None then
-            Some "--resume needs --checkpoint (nothing to resume from)"
-          else None
-    in
-    match bad_arg with
-    | Some msg -> refuse msg
-    | None -> (
-        Interrupt.install ();
-        with_synthesis ~analysis ~mode ~strategy spec @@ fun r ->
-        let nl = r.Flow.netlist in
-        let config =
-          campaign_config ~seed ~trials ~confidence ~max_sites
-            ~time_budget:None ~skip_untestable nl
-        in
-        let sup =
-          {
-            Sup.default with
-            Sup.workers;
-            deadline;
-            retries;
-            backoff;
-            chaos =
-              (if chaos > 0.0 then
-                 Some
-                   {
-                     Sup.kill_fraction = chaos /. 2.0;
-                     stall_fraction = chaos /. 2.0;
-                     chaos_seed;
-                   }
-               else None);
-          }
-        in
-        let opts =
-          { Distrib.sup; shard_size; checkpoint; resume; stop_after }
-        in
-        Fmt.pr "benchmark:       %s  (%d in, %d out)@." input (Pla.Spec.ni spec)
-          (Pla.Spec.no spec);
-        Fmt.pr "strategy:        %s, %s mode@."
-          (Flow.strategy_name strategy)
-          (Techmap.Mapper.mode_name mode);
-        Fmt.pr
-          "supervision:     %d worker(s), shard %d, deadline %.1fs, %d \
-           retries%s@."
-          workers shard_size deadline retries
-          (if chaos > 0.0 then Printf.sprintf ", chaos %.2f" chaos else "");
-        match
-          Distrib.campaign_run opts ~input ~strategy ~mode config spec nl
-        with
-        | Error msg -> refuse msg
-        | Ok d ->
-            List.iter
-              (fun e -> Fmt.pr "supervision:     %a@." Resilient.Event.pp e)
-              d.Distrib.events;
-            Fmt.pr "execution:       %s@."
-              (match d.Distrib.exec_mode with
-              | Sup.Processes n -> Printf.sprintf "%d worker process(es)" n
-              | Sup.Pool n -> Printf.sprintf "in-process pool (%d jobs)" n
-              | Sup.Sequential -> "sequential");
-            Fmt.pr "%a@." Campaign.pp_report d.Distrib.value;
-            Option.iter
-              (fun path ->
-                J.write_file path
-                  (Distrib.campaign_report_to_json d.Distrib.value
-                     ~events:d.Distrib.events
-                     ~interrupted:d.Distrib.interrupted))
-              json_out;
-            if d.Distrib.interrupted then 3 else 0)
-  in
-  let workers =
-    let doc =
-      "Supervised worker processes; 0 runs the shards in-process on the \
-       domain pool."
-    in
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"K" ~doc)
-  in
-  let shard_size =
-    let doc = "Fault sites per shard (the unit of distribution and retry)." in
-    Arg.(value & opt int 4 & info [ "shard-size" ] ~docv:"N" ~doc)
-  in
-  let deadline =
-    let doc =
-      "Per-shard wall-clock deadline in seconds; 0 disables.  A worker \
-       exceeding it is killed and the shard retried."
-    in
-    Arg.(value & opt float 60.0 & info [ "deadline" ] ~docv:"SECS" ~doc)
-  in
-  let retries =
-    let doc = "Extra attempts per shard after the first." in
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let backoff =
-    let doc =
-      "Base retry backoff in seconds (doubled per attempt, with jitter)."
-    in
-    Arg.(value & opt float 0.25 & info [ "backoff" ] ~docv:"SECS" ~doc)
-  in
-  let checkpoint =
-    let doc =
-      "Write a JSON checkpoint of completed site shards to $(docv) after \
-       every shard (and on SIGINT/SIGTERM, marked interrupted)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-  in
-  let resume =
-    let doc =
-      "Load the $(b,--checkpoint) file and skip shards it already contains \
-       (ignored unless its fingerprint matches this exact run)."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let stop_after =
-    let doc =
-      "Stop after $(docv) new shards and write an interrupted checkpoint — \
-       for exercising $(b,--resume)."
-    in
-    Arg.(value & opt (some int) None & info [ "stop-after" ] ~docv:"N" ~doc)
-  in
-  let chaos =
-    let doc =
-      "Chaos test mode: sabotage this fraction of first shard attempts \
-       (half killed mid-task, half stalled past the deadline).  Results \
-       must still be bit-identical to an undisturbed run."
-    in
-    Arg.(value & opt float 0.0 & info [ "chaos" ] ~docv:"F" ~doc)
-  in
-  let chaos_seed =
-    let doc = "Seed for the chaos-injection hash." in
-    Arg.(value & opt int 7 & info [ "chaos-seed" ] ~docv:"S" ~doc)
-  in
-  let doc =
-    "Supervised multi-process fault-injection campaign with deadlines, \
-     retry/backoff, checkpoint/resume and chaos testing"
-  in
-  Cmd.v (Cmd.info "campaign" ~doc)
-    Term.(
-      const run $ input_arg $ strategy_args $ mode_arg $ seed_arg $ trials_arg
-      $ max_sites_arg $ confidence_arg $ skip_untestable_arg $ workers
-      $ shard_size $ deadline $ retries $ backoff $ checkpoint $ resume
-      $ stop_after $ chaos $ chaos_seed
-      $ json_arg "the campaign report (with supervision log)"
-      $ analysis_backend_arg $ jobs_arg)
-
-(* Worker side of the supervision protocol: a frame loop on
-   stdin/stdout executing Distrib.dispatch.  Spawned by the campaign
-   supervisor; of no use interactively. *)
-let worker_cmd =
-  let run () =
-    (* Tasks are the unit of parallelism; each worker computes
-       sequentially. *)
-    Parallel.Pool.set_default_jobs 1;
-    Resilient.Worker.serve ~handler:Distrib.dispatch ~input:Unix.stdin
-      ~output:Unix.stdout ();
-    0
-  in
-  let doc = "Serve supervised campaign tasks over stdin/stdout (internal)" in
-  Cmd.v (Cmd.info "worker" ~doc) Term.(const run $ const ())
 
 let gen_cmd =
   let run ni no dc cf seed on_cubes dc_cubes lit_prob out =
@@ -1166,9 +980,8 @@ let main =
   let info = Cmd.info "rdca" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      stats_cmd; assign_cmd; synth_cmd; faultsim_cmd; campaign_cmd; gen_cmd;
-      estimate_cmd; check_cmd; optimize_cmd; testability_cmd; suite_cmd;
-      worker_cmd;
+      stats_cmd; assign_cmd; synth_cmd; faultsim_cmd; gen_cmd; estimate_cmd;
+      check_cmd; optimize_cmd; testability_cmd; suite_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -1,34 +1,25 @@
 module Gate = Netlist.Gate
 module Spec = Pla.Spec
 
+(* The local fanin pattern at bit [p]: fanin [i]'s bit is bit [i]. *)
+let local_index words fanins p =
+  let idx = ref 0 in
+  Array.iteri
+    (fun i f -> idx := !idx lor (((words.(f) lsr p) land 1) lsl i))
+    fanins;
+  !idx
+
 let local_patterns nl =
-  let n = Netlist.node_count nl in
-  let masks = Array.make n 0 in
-  let ni = Netlist.ni nl in
-  if ni > 20 then invalid_arg "Decompose.local_patterns: ni too large";
-  let size = 1 lsl ni in
-  let vals = Array.make n false in
-  for m = 0 to size - 1 do
-    for i = 0 to ni - 1 do
-      vals.(i) <- m land (1 lsl i) <> 0
-    done;
-    Netlist.iter_nodes nl (fun id g fanins ->
-        match g with
-        | Gate.Input _ -> ()
-        | _ -> vals.(id) <- Gate.eval g (Array.map (Array.get vals) fanins));
-    Netlist.iter_nodes nl (fun id g fanins ->
-        match g with
-        | Gate.Cell _ | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-        | Gate.Xnor | Gate.Not | Gate.Buf ->
-            if Array.length fanins <= 5 then begin
-              let idx = ref 0 in
-              Array.iteri
-                (fun i f -> if vals.(f) then idx := !idx lor (1 lsl i))
-                fanins;
-              masks.(id) <- masks.(id) lor (1 lsl !idx)
-            end
-        | Gate.Input _ | Gate.Const _ -> ())
-  done;
+  let masks = Array.make (Netlist.node_count nl) 0 in
+  Netlist.simulate_all nl (fun ~base:_ ~chunk words ->
+      Netlist.iter_nodes nl (fun id g fanins ->
+          match g with
+          | Gate.Input _ | Gate.Const _ -> ()
+          | _ when Array.length fanins > 5 -> ()
+          | _ ->
+              for p = 0 to chunk - 1 do
+                masks.(id) <- masks.(id) lor (1 lsl local_index words fanins p)
+              done));
   masks
 
 (* Apply the Figure 7 rule to one cell's local function given its
@@ -85,104 +76,49 @@ let reassign ~threshold nl =
   Netlist.set_outputs out (Array.map (Array.get remap) (Netlist.outputs nl));
   out
 
+(* The patterns of the current chunk at which flipping [node] changes
+   some primary output: the good words of [words] are copied into
+   [fault_words], [node]'s word is flipped and only the nodes after it
+   are evaluated again. *)
+let flip_diff nl outs ~node words fault_words chunk_mask =
+  Array.blit words 0 fault_words 0 (Array.length words);
+  fault_words.(node) <- lnot words.(node);
+  Netlist.simulate_words ~after:node nl fault_words;
+  let diff = ref 0 in
+  Array.iter
+    (fun o -> diff := !diff lor (words.(o) lxor fault_words.(o)))
+    outs;
+  !diff land chunk_mask
+
 let internal_error_rate nl =
-  let ni = Netlist.ni nl in
-  if ni > 20 then invalid_arg "Decompose.internal_error_rate: ni too large";
   let n = Netlist.node_count nl in
-  let size = 1 lsl ni in
   let outs = Netlist.outputs nl in
-  let events = ref 0 and propagated = ref 0 in
-  (* Word-parallel: for each chunk, compute the fault-free words, then
-     for each internal node re-propagate with that node flipped. *)
-  let base_words = Array.make n 0 in
   let fault_words = Array.make n 0 in
-  let base = ref 0 in
-  while !base < size do
-    let chunk = min 63 (size - !base) in
-    let mask = (1 lsl chunk) - 1 in
-    for i = 0 to ni - 1 do
-      let w = ref 0 in
-      for p = 0 to chunk - 1 do
-        if (!base + p) land (1 lsl i) <> 0 then w := !w lor (1 lsl p)
-      done;
-      base_words.(i) <- !w
-    done;
-    Netlist.iter_nodes nl (fun id g fanins ->
-        base_words.(id) <- Gate.eval_words_at g base_words fanins);
-    for fault = ni to n - 1 do
-      Array.blit base_words 0 fault_words 0 n;
-      fault_words.(fault) <- lnot base_words.(fault);
-      Netlist.iter_nodes nl (fun id g fanins ->
-          if id > fault then
-            fault_words.(id) <- Gate.eval_words_at g fault_words fanins);
-      let diff = ref 0 in
-      Array.iter
-        (fun o -> diff := !diff lor (base_words.(o) lxor fault_words.(o)))
-        outs;
-      events := !events + chunk;
-      propagated := !propagated + Bitvec.Minterm.popcount (!diff land mask)
-    done;
-    base := !base + chunk
-  done;
+  let events = ref 0 and propagated = ref 0 in
+  Netlist.simulate_all nl (fun ~base:_ ~chunk words ->
+      let mask = (1 lsl chunk) - 1 in
+      for fault = Netlist.ni nl to n - 1 do
+        let diff = flip_diff nl outs ~node:fault words fault_words mask in
+        events := !events + chunk;
+        propagated := !propagated + Bitvec.Minterm.popcount diff
+      done);
   if !events = 0 then 0.0
   else float_of_int !propagated /. float_of_int !events
 
-(* Word-parallel: recompute only nodes downstream of [node] with its
-   output flipped; collect the local patterns at which some primary
-   output changes. *)
-let observability_mask_current nl ~node base_words fault_words chunk_mask =
-  let n = Netlist.node_count nl in
-  Array.blit base_words 0 fault_words 0 n;
-  fault_words.(node) <- lnot base_words.(node);
-  Netlist.iter_nodes nl (fun id g fanins ->
-      if id > node then
-        fault_words.(id) <- Gate.eval_words_at g fault_words fanins);
-  let diff = ref 0 in
-  Array.iter
-    (fun o -> diff := !diff lor (base_words.(o) lxor fault_words.(o)))
-    (Netlist.outputs nl);
-  !diff land chunk_mask
-
-let simulate_chunks nl visit =
-  let ni = Netlist.ni nl in
-  if ni > 20 then invalid_arg "Decompose: ni too large";
-  let n = Netlist.node_count nl in
-  let size = 1 lsl ni in
-  let words = Array.make n 0 in
-  let base = ref 0 in
-  while !base < size do
-    let chunk = min 63 (size - !base) in
-    for i = 0 to ni - 1 do
-      let w = ref 0 in
-      for p = 0 to chunk - 1 do
-        if (!base + p) land (1 lsl i) <> 0 then w := !w lor (1 lsl p)
-      done;
-      words.(i) <- !w
-    done;
-    Netlist.iter_nodes nl (fun id g fanins ->
-        words.(id) <- Gate.eval_words_at g words fanins);
-    visit ~chunk words;
-    base := !base + chunk
-  done
-
 (* (reachable mask, observable mask) of one node's local patterns. *)
 let local_masks nl ~node =
-  let n = Netlist.node_count nl in
   let fanins = Netlist.fanins nl node in
-  let fault_words = Array.make n 0 in
+  let outs = Netlist.outputs nl in
+  let fault_words = Array.make (Netlist.node_count nl) 0 in
   let reachable = ref 0 and observable = ref 0 in
-  simulate_chunks nl (fun ~chunk words ->
-      let chunk_mask = (1 lsl chunk) - 1 in
+  Netlist.simulate_all nl (fun ~base:_ ~chunk words ->
       let obs =
-        observability_mask_current nl ~node words fault_words chunk_mask
+        flip_diff nl outs ~node words fault_words ((1 lsl chunk) - 1)
       in
       for p = 0 to chunk - 1 do
-        let idx = ref 0 in
-        Array.iteri
-          (fun i f -> if words.(f) land (1 lsl p) <> 0 then idx := !idx lor (1 lsl i))
-          fanins;
-        reachable := !reachable lor (1 lsl !idx);
-        if obs land (1 lsl p) <> 0 then observable := !observable lor (1 lsl !idx)
+        let bit = 1 lsl local_index words fanins p in
+        reachable := !reachable lor bit;
+        if obs land (1 lsl p) <> 0 then observable := !observable lor bit
       done);
   (!reachable, !observable)
 

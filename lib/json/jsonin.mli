@@ -6,8 +6,8 @@
     inverse of {!Jsonout}'s emitter, so values round-trip bit-identically:
     [parse (Jsonout.to_string v) = Ok v] for every [v] the emitter can
     produce (floats print with 17 significant digits and re-read to the
-    same double).  Needed by the resilient execution layer, whose
-    supervisor/worker frames and checkpoint files are JSON. *)
+    same double).  perfbench's self-test reads the benchmark's JSON
+    records with it. *)
 
 val parse : string -> (Jsonout.t, string) result
 (** [parse s] parses one JSON value (surrounding whitespace allowed).

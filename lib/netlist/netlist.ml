@@ -117,38 +117,47 @@ let eval_minterm_with_override t ~override m =
   eval_with_override t ~override
     (Array.init t.ni (fun i -> m land (1 lsl i) <> 0))
 
-(* Word-parallel simulation over all 2^ni patterns, 63 at a time.
-   [override id word] transforms each node's word after evaluation
-   (identity by default) — the gate-fault-injection hook. *)
-let simulate_all ?(override = fun _ w -> w) t visit =
+let simulate_words ?(after = -1) t words =
+  for id = max t.ni (after + 1) to t.next - 1 do
+    let n = t.nodes.(id) in
+    words.(id) <- Gate.eval_words_at n.gate words n.fanins
+  done
+
+let pack_minterms t ms ~len words =
+  for i = 0 to t.ni - 1 do
+    let w = ref 0 in
+    for p = 0 to len - 1 do
+      w := !w lor (((ms.(p) lsr i) land 1) lsl p)
+    done;
+    words.(i) <- !w
+  done
+
+let simulate_all t visit =
   if t.ni > 20 then invalid_arg "Netlist: ni too large for exhaustive sim";
   let total = 1 lsl t.ni in
   let words = Array.make t.next 0 in
+  let ms = Array.make 63 0 in
   let base = ref 0 in
   while !base < total do
     let chunk = min 63 (total - !base) in
-    (* Pattern p in this chunk is minterm (base + p). *)
-    for i = 0 to t.ni - 1 do
-      let w = ref 0 in
-      for p = 0 to chunk - 1 do
-        if (!base + p) land (1 lsl i) <> 0 then w := !w lor (1 lsl p)
-      done;
-      words.(i) <- override i !w
+    for p = 0 to chunk - 1 do
+      ms.(p) <- !base + p
     done;
-    for id = t.ni to t.next - 1 do
-      let n = t.nodes.(id) in
-      words.(id) <- override id (Gate.eval_words_at n.gate words n.fanins)
-    done;
+    pack_minterms t ms ~len:chunk words;
+    simulate_words t words;
     visit ~base:!base ~chunk words;
     base := !base + chunk
   done
 
-let output_tables_gen ?override t =
+(* [fault words] may rewrite a chunk's words before the outputs are
+   read: the next chunk is packed and simulated afresh. *)
+let output_tables_gen ?(fault = ignore) t =
   let total = 1 lsl t.ni in
   let tables =
     Array.init (Array.length t.outputs) (fun _ -> Bitvec.Bv.create total)
   in
-  simulate_all ?override t (fun ~base ~chunk words ->
+  simulate_all t (fun ~base ~chunk words ->
+      fault words;
       Array.iteri
         (fun o out_id ->
           let w = words.(out_id) in
@@ -158,7 +167,11 @@ let output_tables_gen ?override t =
         t.outputs);
   tables
 
-let output_tables_with_override t ~override = output_tables_gen ~override t
+let output_tables_with_fault t ~node f =
+  check_id t node;
+  output_tables_gen t ~fault:(fun words ->
+      words.(node) <- f words.(node);
+      simulate_words ~after:node t words)
 
 let output_tables t = output_tables_gen t
 

@@ -58,28 +58,57 @@ val eval_minterm : t -> int -> bool array
     every node's value — primary inputs included — is passed through
     [override id value] before being stored, so downstream nodes see
     the overridden value.  The identity function reproduces {!eval};
-    forcing or flipping one node's value injects a gate-level fault
-    (see [Reliability.Inject]). *)
+    forcing or flipping one node's value injects a gate-level fault.
+    A scalar test oracle for the word-parallel fault passes
+    ({!simulate_words} with [~after]); nothing in the libraries calls
+    it. *)
 val eval_with_override :
   t -> override:(int -> bool -> bool) -> bool array -> bool array
 
 (** [eval_minterm_with_override t ~override m] is
-    {!eval_with_override} on the minterm encoding of the inputs. *)
+    {!eval_with_override} on the minterm encoding of the inputs (a
+    test oracle, like it). *)
 val eval_minterm_with_override :
   t -> override:(int -> bool -> bool) -> int -> bool array
+
+(** {1 Word-parallel simulation}
+
+    63 patterns per machine word, one per bit: [words.(id)] holds the
+    word of node [id], in an array of at least {!node_count} entries. *)
+
+(** [pack_minterms t ms ~len words] writes the input words: bit [p] of
+    [words.(i)] is input [i] of minterm [ms.(p)] for [p < len], and
+    the bits from [len] up are 0.  Other entries of [words] are left
+    alone. *)
+val pack_minterms : t -> int array -> len:int -> int array -> unit
+
+(** [simulate_words t words] fills the word of every non-input node
+    from the input words already in [words] (see {!pack_minterms}).
+    With [~after:id] it fills only the nodes above [id] — the faulty
+    pass: the caller holds the good words of the nodes up to [id] and
+    has forced or flipped [words.(id)].  Bits above the patterns in
+    use may hold anything; readers mask them off. *)
+val simulate_words : ?after:int -> t -> int array -> unit
+
+(** [simulate_all t visit] runs {!simulate_words} over all [2^ni]
+    patterns, 63 at a time: [visit ~base ~chunk words] sees every
+    node's word over minterms [base .. base + chunk - 1], pattern [p]
+    at bit [p].
+    @raise Invalid_argument when [ni > 20]. *)
+val simulate_all : t -> (base:int -> chunk:int -> int array -> unit) -> unit
 
 (** [output_tables t] simulates all [2^ni] patterns word-parallel and
     returns one characteristic bit-vector per output.
     @raise Invalid_argument when [ni > 20]. *)
 val output_tables : t -> Bitvec.Bv.t array
 
-(** [output_tables_with_override t ~override] is {!output_tables} with
-    [override id word] applied to each node's simulation word (63
-    patterns per bit) — the word-parallel form of
-    {!eval_with_override}.  Only the low bits covering the current
-    chunk are read back, so overrides may set garbage above them. *)
-val output_tables_with_override :
-  t -> override:(int -> int -> int) -> Bitvec.Bv.t array
+(** [output_tables_with_fault t ~node f] is {!output_tables} with
+    [node]'s simulation word [w] replaced by [f w] (63 patterns per
+    bit) and the nodes after it re-evaluated: the exhaustive tables of
+    a single-node fault.
+    @raise Invalid_argument on a bad node id or [ni > 20]. *)
+val output_tables_with_fault :
+  t -> node:int -> (int -> int) -> Bitvec.Bv.t array
 
 (** [signal_probs t] is the exact probability of each *node* being 1
     under uniform random inputs (exhaustive; [ni <= 20]). *)

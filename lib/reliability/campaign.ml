@@ -75,12 +75,12 @@ let select_sites ~seed ~max_sites sites =
       done;
       List.sort compare (Array.to_list (Array.sub arr 0 k))
 
-let validate_config name config spec nl =
+let validate_config config spec nl =
   if Netlist.ni nl <> Spec.ni spec then
-    invalid_arg (name ^ ": input count mismatch");
+    invalid_arg "Campaign.run: input count mismatch";
   if config.trials_per_site <= 0 then
-    invalid_arg (name ^ ": trials_per_site must be positive");
-  if config.kinds = [] then invalid_arg (name ^ ": no fault kinds")
+    invalid_arg "Campaign.run: trials_per_site must be positive";
+  if config.kinds = [] then invalid_arg "Campaign.run: no fault kinds"
 
 (* Statically-dead sites (every configured kind untestable — see
    [Atpg.Engine]) are excluded *before* the subsample, so --max-sites
@@ -95,8 +95,7 @@ let selected_sites config nl =
 
 (* One work item = one site (all its kinds).  Every (site, kind) pair
    draws from an RNG derived from the master seed alone, so evaluating
-   sites concurrently — across domains or across worker processes —
-   cannot change any rate. *)
+   sites concurrently cannot change any rate. *)
 let eval_site config spec nl site =
   let gate = Netlist.Gate.name (Netlist.gate nl site) in
   List.map
@@ -123,39 +122,13 @@ let eval_site config spec nl site =
       })
     config.kinds
 
-let run_sites config spec nl sites =
-  validate_config "Campaign.run_sites" config spec nl;
-  List.concat_map (eval_site config spec nl) sites
-
-let of_results config ~sites_total ~complete ~elapsed results =
-  let per_site = max 1 (List.length config.kinds) in
-  {
-    config;
-    results;
-    sites_total;
-    sites_done = List.length results / per_site;
-    complete;
-    elapsed;
-  }
-
-let run ?(checkpoint = fun _ -> ()) config spec nl =
-  validate_config "Campaign.run" config spec nl;
+let run config spec nl =
+  validate_config config spec nl;
   let sites = Array.of_list (selected_sites config nl) in
   let sites_total = Array.length sites in
   let t0 = Unix.gettimeofday () in
   let results = ref [] in
-  let sites_done = ref 0 in
   let complete = ref true in
-  let report () =
-    {
-      config;
-      results = List.rev !results;
-      sites_total;
-      sites_done = !sites_done;
-      complete = !complete;
-      elapsed = Unix.gettimeofday () -. t0;
-    }
-  in
   let eval_site = eval_site config spec nl in
   let pool = Parallel.Pool.shared () in
   (* Sites are swept in blocks; the time budget is checked between
@@ -182,15 +155,19 @@ let run ?(checkpoint = fun _ -> ()) config spec nl =
          Parallel.Pool.map ~pool ~chunk:1 eval_site (Array.sub sites !idx len)
        in
        Array.iter
-         (fun site_results ->
-           List.iter (fun r -> results := r :: !results) site_results;
-           incr sites_done;
-           checkpoint (report ()))
+         (fun site_results -> results := List.rev_append site_results !results)
          block;
        idx := !idx + len
      done
    with Exit -> ());
-  report ()
+  {
+    config;
+    results = List.rev !results;
+    sites_total;
+    sites_done = !idx;
+    complete = !complete;
+    elapsed = Unix.gettimeofday () -. t0;
+  }
 
 let pooled report =
   List.map
@@ -222,14 +199,7 @@ let pooled report =
       { p_kind = kind; p_sites; p_events; p_propagated; p_rate; p_ci; p_worst })
     report.config.kinds
 
-(* JSON codecs for distributing site work across worker processes.
-   Jsonout prints floats with %.17g and Jsonin parses them back with
-   [float_of_string], so a decode (encode r) round-trip is
-   bit-identical — the property the supervised campaign's
-   merge-equals-sequential guarantee rests on. *)
-
 module J = Rdca_json.Jsonout
-module Jin = Rdca_json.Jsonin
 
 let config_to_json c =
   J.Obj
@@ -258,29 +228,35 @@ let site_result_to_json r =
       ("ci_hi", J.Float hi);
     ]
 
-let site_result_of_json v =
-  let field name conv =
-    match Option.bind (Jin.member name v) conv with
-    | Some x -> Ok x
-    | None ->
-        Error (Printf.sprintf "site result: missing or bad %S field" name)
+let report_to_json report =
+  let pooled =
+    List.map
+      (fun p ->
+        let lo, hi = p.p_ci in
+        J.Obj
+          [
+            ("kind", J.String (Inject.kind_name p.p_kind));
+            ("sites", J.Int p.p_sites);
+            ("events", J.Int p.p_events);
+            ("propagated", J.Int p.p_propagated);
+            ("rate", J.Float p.p_rate);
+            ("ci_lo", J.Float lo);
+            ("ci_hi", J.Float hi);
+          ])
+      (pooled report)
   in
-  let ( let* ) = Result.bind in
-  let* site = field "site" Jin.to_int in
-  let* gate = field "gate" Jin.to_string in
-  let* kind_name = field "kind" Jin.to_string in
-  let* kind =
-    match Inject.kind_of_name kind_name with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "site result: unknown kind %S" kind_name)
-  in
-  let* trials = field "trials" Jin.to_int in
-  let* events = field "events" Jin.to_int in
-  let* propagated = field "propagated" Jin.to_int in
-  let* rate = field "rate" Jin.to_float in
-  let* lo = field "ci_lo" Jin.to_float in
-  let* hi = field "ci_hi" Jin.to_float in
-  Ok { site; gate; kind; trials; events; propagated; rate; ci = (lo, hi) }
+  J.Obj
+    [
+      ("schema_version", J.Int 1);
+      ("config", config_to_json report.config);
+      ("sites_total", J.Int report.sites_total);
+      ("sites_done", J.Int report.sites_done);
+      ("complete", J.Bool report.complete);
+      ("interrupted", J.Bool false);
+      ("elapsed", J.Float report.elapsed);
+      ("results", J.List (List.map site_result_to_json report.results));
+      ("pooled", J.List pooled);
+    ]
 
 let pp_report ppf report =
   let status = if report.complete then "complete" else "PARTIAL" in

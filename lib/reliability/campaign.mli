@@ -9,9 +9,10 @@
     sites are reported, never their rates.  The same RNG splitting
     makes the sweep safe to parallelise: sites are evaluated in
     blocks on the shared {!Parallel.Pool}, and reports are
-    bit-identical at every job count.  Partial results are
-    checkpointed through a callback and the final report says whether
-    the sweep completed. *)
+    bit-identical at every job count.  The report says whether the
+    sweep completed.  Each pair's trials run word-parallel
+    ({!Inject.run}); {!Inject.exact_rate} is the exhaustive oracle
+    the tests hold the sampled rates against. *)
 
 (** Campaign parameters. *)
 type config = {
@@ -31,9 +32,8 @@ type config = {
       (** node ids excluded from site selection before any
           subsampling — statically untestable sites found by
           [Atpg.Engine] ([--skip-untestable]), whose faults cannot
-          propagate and would only dilute the sweep.  Part of the
-          config fingerprint: checkpoints do not resume across a
-          different exclusion list. *)
+          propagate and would only dilute the sweep.  Recorded in
+          {!config_to_json}. *)
 }
 
 (** [default_config] — seed 42, 1000 trials, 95% confidence, all
@@ -75,65 +75,26 @@ type pooled = {
   p_worst : site_result option;
 }
 
-(** {1 Sharding primitives}
-
-    A campaign is embarrassingly parallel over sites: these entry
-    points let a distribution layer (see [Flow.Distrib]) split the
-    site list into shards, evaluate shards in separate worker
-    processes, and reassemble a report bit-identical to {!run}. *)
-
-(** [selected_sites config nl] — the exact site list {!run} would
-    sweep, in sweep (topological) order. *)
-val selected_sites : config -> Netlist.t -> int list
-
-(** [eval_site config spec nl site] — the results for one site, one
-    per kind in [config.kinds] order; pure given its arguments. *)
-val eval_site : config -> Pla.Spec.t -> Netlist.t -> int -> site_result list
-
-(** [run_sites config spec nl sites] evaluates a shard sequentially.
-    Concatenating shard outputs in site order equals the [results]
-    field of a full {!run}.
-    @raise Invalid_argument as {!run}. *)
-val run_sites :
-  config -> Pla.Spec.t -> Netlist.t -> int list -> site_result list
-
-(** [of_results config ~sites_total ~complete ~elapsed results]
-    rebuilds a report from merged shard results (in sweep order);
-    [sites_done] is inferred from the result count. *)
-val of_results :
-  config ->
-  sites_total:int ->
-  complete:bool ->
-  elapsed:float ->
-  site_result list ->
-  report
-
-(** {1 JSON codecs}
-
-    [Rdca_json] round-trips floats exactly ([%.17g] out,
-    [float_of_string] in), so
-    [site_result_of_json (site_result_to_json r) = Ok r] — shard
-    results survive the worker pipe bit-identically. *)
-
-val config_to_json : config -> Rdca_json.Jsonout.t
-(** Campaign parameters as JSON — the checkpoint fingerprint
-    ingredient covering the campaign configuration. *)
-
-val site_result_to_json : site_result -> Rdca_json.Jsonout.t
-
-val site_result_of_json :
-  Rdca_json.Jsonout.t -> (site_result, string) result
-
-(** [run ?checkpoint config spec nl] sweeps the campaign.
-    [checkpoint] (default ignore) receives the partial report after
-    every completed site — the hook for persisting partial results.
+(** [run config spec nl] sweeps the campaign.
     @raise Invalid_argument if netlist and spec input counts differ,
     [trials_per_site <= 0], or [kinds] is empty. *)
-val run :
-  ?checkpoint:(report -> unit) -> config -> Pla.Spec.t -> Netlist.t -> report
+val run : config -> Pla.Spec.t -> Netlist.t -> report
 
 (** [pooled report] aggregates per kind, in [config.kinds] order. *)
 val pooled : report -> pooled list
 
 (** [pp_report ppf report] prints the pooled summary table. *)
 val pp_report : Format.formatter -> report -> unit
+
+(** {1 JSON} *)
+
+val config_to_json : config -> Rdca_json.Jsonout.t
+(** Campaign parameters as JSON. *)
+
+val site_result_to_json : site_result -> Rdca_json.Jsonout.t
+
+val report_to_json : report -> Rdca_json.Jsonout.t
+(** The campaign document of [rdca faultsim --json]: config, per-site
+    results and pooled per-kind aggregates.  Its ["interrupted"] key
+    is always [false]: a report exists only for a finished sweep, and
+    the enclosing faultsim document says whether the run was cut. *)

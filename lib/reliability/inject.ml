@@ -34,13 +34,8 @@ let check_node nl node =
 
 let override_bool fault id v = if id = fault.node then apply fault.kind v else v
 
-let override_word fault id w =
-  if id <> fault.node then w
-  else
-    match fault.kind with
-    | Stuck_at_0 -> 0
-    | Stuck_at_1 -> -1
-    | Transient -> lnot w
+let apply_word kind w =
+  match kind with Stuck_at_0 -> 0 | Stuck_at_1 -> -1 | Transient -> lnot w
 
 let eval_minterm nl fault m =
   check_node nl fault.node;
@@ -48,7 +43,7 @@ let eval_minterm nl fault m =
 
 let faulty_tables nl fault =
   check_node nl fault.node;
-  Netlist.output_tables_with_override nl ~override:(override_word fault)
+  Netlist.output_tables_with_fault nl ~node:fault.node (apply_word fault.kind)
 
 let check_spec spec nl =
   if Netlist.ni nl <> Spec.ni spec then
@@ -82,21 +77,29 @@ let run ~rng ~trials spec nl fault =
   check_node nl fault.node;
   if trials <= 0 then invalid_arg "Inject.run: trials must be positive";
   let size = Spec.size spec in
-  let no = Spec.no spec in
+  let n = Netlist.node_count nl in
+  let good = Array.make n 0 and bad = Array.make n 0 in
+  let ms = Array.make 63 0 in
   let propagated = ref 0 in
-  for _ = 1 to trials do
-    let m = Random.State.int rng size in
-    let outs = Netlist.eval_minterm nl m in
-    let outs' = eval_minterm nl fault m in
-    for o = 0 to no - 1 do
-      (* As in Fault_sim: errors only originate at care vectors. *)
-      match Spec.get spec ~o ~m with
-      | Spec.Dc -> ()
-      | Spec.On | Spec.Off -> if outs.(o) <> outs'.(o) then incr propagated
-    done
+  let left = ref trials in
+  while !left > 0 do
+    let len = min 63 !left in
+    for p = 0 to len - 1 do
+      ms.(p) <- Random.State.int rng size
+    done;
+    Netlist.pack_minterms nl ms ~len good;
+    Netlist.simulate_words nl good;
+    (* The faulty machine starts from the good words; only the nodes
+       above the fault site can change. *)
+    Array.blit good 0 bad 0 n;
+    bad.(fault.node) <- apply_word fault.kind good.(fault.node);
+    Netlist.simulate_words ~after:fault.node nl bad;
+    propagated :=
+      !propagated + Fault_sim.count_propagated spec nl ms ~len good bad;
+    left := !left - len
   done;
   {
     trials;
     propagated = !propagated;
-    rate = float_of_int !propagated /. float_of_int (trials * no);
+    rate = float_of_int !propagated /. float_of_int (trials * Spec.no spec);
   }

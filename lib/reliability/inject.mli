@@ -17,8 +17,7 @@ type kind = Stuck_at_0 | Stuck_at_1 | Transient
 type fault = { node : int; kind : kind }
 
 (** [kind_name k] is ["sa0"], ["sa1"] or ["transient"] — the
-    canonical serialisation used by campaign JSON records and
-    checkpoint frames. *)
+    canonical serialisation used by campaign JSON records. *)
 val kind_name : kind -> string
 
 (** [all_kinds] is [[Stuck_at_0; Stuck_at_1; Transient]]. *)
@@ -35,13 +34,20 @@ val sites : Netlist.t -> int list
     [v]. *)
 val apply : kind -> bool -> bool
 
+(** {1 Test oracles}
+
+    Scalar and exhaustive reference paths for {!run}; nothing in the
+    libraries calls them. *)
+
 (** [eval_minterm nl fault m] evaluates the netlist on minterm [m]
-    with [fault] active.
+    with [fault] active (one scalar pass,
+    {!Netlist.eval_minterm_with_override}).
     @raise Invalid_argument on a bad node id. *)
 val eval_minterm : Netlist.t -> fault -> int -> bool array
 
 (** [faulty_tables nl fault] is [Netlist.output_tables] under the
-    fault (word-parallel exhaustive simulation).
+    fault (word-parallel exhaustive simulation,
+    {!Netlist.output_tables_with_fault}).
     @raise Invalid_argument on a bad node id or [ni > 20]. *)
 val faulty_tables : Netlist.t -> fault -> Bitvec.Bv.t array
 
@@ -54,14 +60,20 @@ val faulty_tables : Netlist.t -> fault -> Bitvec.Bv.t array
     the node id is bad. *)
 val exact_rate : Pla.Spec.t -> Netlist.t -> fault -> float
 
+(** {1 Monte-Carlo} *)
+
 (** Monte-Carlo result, as in {!Fault_sim}. *)
 type result = { trials : int; propagated : int; rate : float }
 
 (** [run ~rng ~trials spec nl fault] samples [trials] uniform random
-    minterms; each event counts once per output whose correct vector
-    is a care vector and whose value changes under the fault.
+    minterms, one draw from [rng] per trial; each event counts once
+    per output whose correct vector is a care vector and whose value
+    changes under the fault ({!Fault_sim.count_propagated}).
     [rate = propagated / (trials * outputs)], converging to
-    {!exact_rate}.
+    {!exact_rate}.  Trials run 63 to a machine word: one good pass,
+    then the fault site's word is forced or flipped and only the nodes
+    after it are evaluated again.  The counts equal those of the
+    scalar loop over {!eval_minterm} with the same draws.
     @raise Invalid_argument if netlist and spec input counts differ,
     [trials <= 0], or the node id is bad. *)
 val run :

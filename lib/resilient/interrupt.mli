@@ -1,15 +1,19 @@
 (** Cooperative SIGINT/SIGTERM handling for long-running commands.
 
-    [rdca faultsim], [rdca campaign] and [bench/main.exe] register hooks
-    that flush a final checkpoint and a partial JSON report marked
-    ["interrupted": true] before the process exits, so hours of fault
-    simulation survive a Ctrl-C or a batch-scheduler kill. *)
+    [rdca faultsim] and [bench/main.exe] register hooks that write a
+    partial JSON report marked ["interrupted": true] before the process
+    exits, so a long fault simulation survives a Ctrl-C or a
+    batch-scheduler kill. *)
 
 val install : unit -> unit
-(** Install handlers for SIGINT and SIGTERM (idempotent).  On signal,
-    every registered hook runs (most recent first, exceptions ignored)
-    and the process exits with status [130].  On platforms without
-    these signals this is a no-op. *)
+(** Install handlers for SIGINT and SIGTERM (idempotent).  On the first
+    signal every registered hook runs once (most recent first,
+    exceptions ignored), stdout and stderr are flushed and the process
+    exits with status [130] at once, without running [at_exit]
+    functions: the handler may run on any domain, including a
+    {!Parallel.Pool} worker that the pool's exit-time shutdown would
+    wait for.  A signal arriving while the hooks run is ignored.  On
+    platforms without these signals this is a no-op. *)
 
 val on_interrupt : (unit -> unit) -> unit -> unit
 (** [on_interrupt hook] registers [hook] and returns a thunk that

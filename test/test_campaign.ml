@@ -1,6 +1,6 @@
 (* Fault-injection campaigns: determinism, partial reports under a
-   wall-clock budget, site subsampling, pooling invariants, checkpoint
-   delivery, and argument validation. *)
+   wall-clock budget, site subsampling, pooling invariants and
+   argument validation. *)
 
 module Spec = Pla.Spec
 module Inject = Reliability.Inject
@@ -121,19 +121,6 @@ let test_partial_report () =
         (List.exists (fun fr -> fr = sr) full.Campaign.results))
     r.Campaign.results
 
-let test_checkpoints () =
-  let s, nl = fixture () in
-  let seen = ref [] in
-  let r =
-    Campaign.run
-      ~checkpoint:(fun p -> seen := p.Campaign.sites_done :: !seen)
-      (config ()) s nl
-  in
-  check_int "one checkpoint per site" r.Campaign.sites_done
-    (List.length !seen);
-  check "monotone progress" true
-    (List.rev !seen = List.init r.Campaign.sites_done (fun i -> i + 1))
-
 let test_pooled () =
   let s, nl = fixture () in
   let r = Campaign.run (config ()) s nl in
@@ -242,7 +229,6 @@ let suite =
         test_subsample_consistent;
       Alcotest.test_case "rates near exact" `Quick test_rates_near_exact;
       Alcotest.test_case "partial report" `Quick test_partial_report;
-      Alcotest.test_case "checkpoints" `Quick test_checkpoints;
       Alcotest.test_case "pooled invariants" `Quick test_pooled;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "pp_report smoke" `Quick test_pp_report_smoke;

@@ -147,6 +147,101 @@ let test_validation () =
   expect_invalid "negative node id" (fun () ->
       Inject.eval_minterm nl { Inject.node = -1; kind = Inject.Transient } 0)
 
+(* A random case for the word-parallel/scalar comparisons: a netlist
+   over 1-6 inputs mixing every primitive gate kind, constants and
+   standard cells of arity 0-4, with fanins drawn from any earlier
+   node; its 1-3 outputs may be any node, a primary input or a
+   constant included.  The multi-output spec leaves about 60% of the
+   minterms don't-care. *)
+let random_case rng =
+  let module Gate = Netlist.Gate in
+  let ni = 1 + Random.State.int rng 6 in
+  let nl = Netlist.create ~ni in
+  let pick () = Random.State.int rng (Netlist.node_count nl) in
+  for _ = 1 to 1 + Random.State.int rng 14 do
+    let g, k =
+      match Random.State.int rng 11 with
+      | 0 -> (Gate.Const (Random.State.bool rng), 0)
+      | 1 -> (Gate.Buf, 1)
+      | 2 -> (Gate.Not, 1)
+      | 3 | 4 ->
+          let arity = Random.State.int rng 5 in
+          let tt =
+            Logic.Truth.of_fun arity (fun _ -> Random.State.bool rng)
+          in
+          ( Gate.Cell
+              {
+                Gate.cell_name = "rand";
+                tt;
+                arity;
+                area = 1.0;
+                delay = 1.0;
+                input_cap = 1.0;
+              },
+            arity )
+      | i ->
+          ( [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor |]
+            .(i - 5),
+            2 + Random.State.int rng 3 )
+    in
+    ignore (Netlist.add nl g (Array.init k (fun _ -> pick ())))
+  done;
+  let no = 1 + Random.State.int rng 3 in
+  Netlist.set_outputs nl (Array.init no (fun _ -> pick ()));
+  let spec = Spec.create ~ni ~no ~default:Spec.Dc in
+  for o = 0 to no - 1 do
+    for m = 0 to Spec.size spec - 1 do
+      if Random.State.int rng 10 >= 6 then
+        Spec.set spec ~o ~m
+          (if Random.State.bool rng then Spec.On else Spec.Off)
+    done
+  done;
+  (spec, nl)
+
+(* Trial counts around the 63-trial word: one trial, a partial word,
+   exactly one word, one past it, two words plus one, many words. *)
+let trials_arb = QCheck.oneofl [ 1; 62; 63; 64; 127; 1000 ]
+
+(* The per-trial scalar loop the word-parallel [Inject.run] replaced:
+   one draw per trial, two scalar evaluations, care vectors only. *)
+let scalar_run ~rng ~trials spec nl fault =
+  let no = Spec.no spec in
+  let propagated = ref 0 in
+  for _ = 1 to trials do
+    let m = Random.State.int rng (Spec.size spec) in
+    let outs = Netlist.eval_minterm nl m in
+    let outs' = Inject.eval_minterm nl fault m in
+    for o = 0 to no - 1 do
+      if Spec.get spec ~o ~m <> Spec.Dc && outs.(o) <> outs'.(o) then
+        incr propagated
+    done
+  done;
+  {
+    Inject.trials;
+    propagated = !propagated;
+    rate = float_of_int !propagated /. float_of_int (trials * no);
+  }
+
+(* Same counts and the same RNG consumption, at every node (primary
+   inputs, constants and outputs included) and every fault kind. *)
+let prop_run_matches_scalar =
+  QCheck.Test.make ~name:"word-parallel run equals the scalar loop" ~count:60
+    QCheck.(pair int trials_arb)
+    (fun (seed, trials) ->
+      let spec, nl = random_case (Random.State.make [| seed |]) in
+      List.for_all
+        (fun node ->
+          List.for_all
+            (fun kind ->
+              let fault = { Inject.node; kind } in
+              let rng_w = Random.State.make [| seed; node |] in
+              let rng_s = Random.State.make [| seed; node |] in
+              Inject.run ~rng:rng_w ~trials spec nl fault
+              = scalar_run ~rng:rng_s ~trials spec nl fault
+              && Random.State.bits rng_w = Random.State.bits rng_s)
+            Inject.all_kinds)
+        (List.init (Netlist.node_count nl) Fun.id))
+
 let prop_kind_names_roundtrip =
   QCheck.Test.make ~name:"kind names round-trip" ~count:30
     (QCheck.oneofl Inject.all_kinds)
@@ -167,4 +262,5 @@ let suite =
         test_mc_deterministic;
       Alcotest.test_case "validation" `Quick test_validation;
       QCheck_alcotest.to_alcotest prop_kind_names_roundtrip;
+      QCheck_alcotest.to_alcotest prop_run_matches_scalar;
     ] )

@@ -501,6 +501,40 @@ let test_fault_sim_validation () =
         ~rng:(Random.State.make [| 1 |])
         ~trials:10 wide nl)
 
+(* The per-trial scalar loop the word-parallel [Fault_sim.run]
+   replaced: draw [m], then the input [j] to flip, and compare two
+   scalar evaluations at the care vectors of [m]. *)
+let scalar_fault_sim ~rng ~trials spec nl =
+  let no = Spec.no spec in
+  let propagated = ref 0 in
+  for _ = 1 to trials do
+    let m = Random.State.int rng (Spec.size spec) in
+    let j = Random.State.int rng (Spec.ni spec) in
+    let outs = Netlist.eval_minterm nl m in
+    let outs' = Netlist.eval_minterm nl (m lxor (1 lsl j)) in
+    for o = 0 to no - 1 do
+      if Spec.get spec ~o ~m <> Spec.Dc && outs.(o) <> outs'.(o) then
+        incr propagated
+    done
+  done;
+  {
+    Reliability.Fault_sim.trials;
+    propagated = !propagated;
+    rate = float_of_int !propagated /. float_of_int (trials * no);
+  }
+
+let prop_fault_sim_matches_scalar =
+  QCheck.Test.make ~name:"word-parallel fault sim equals the scalar loop"
+    ~count:200
+    QCheck.(pair int Test_inject.trials_arb)
+    (fun (seed, trials) ->
+      let spec, nl = Test_inject.random_case (Random.State.make [| seed |]) in
+      let rng_w = Random.State.make [| seed; 1 |] in
+      let rng_s = Random.State.make [| seed; 1 |] in
+      Reliability.Fault_sim.run ~rng:rng_w ~trials spec nl
+      = scalar_fault_sim ~rng:rng_s ~trials spec nl
+      && Random.State.bits rng_w = Random.State.bits rng_s)
+
 let campaign_support_cases =
   [
     Alcotest.test_case "normal quantile" `Quick test_normal_quantile;
@@ -509,6 +543,7 @@ let campaign_support_cases =
     Alcotest.test_case "fault sim converges on suite benchmarks" `Quick
       test_fault_sim_suite_benchmarks;
     Alcotest.test_case "fault sim validation" `Quick test_fault_sim_validation;
+    QCheck_alcotest.to_alcotest prop_fault_sim_matches_scalar;
   ]
 
 let suite = (fst suite, snd suite @ campaign_support_cases)
