@@ -1057,14 +1057,12 @@ let () =
     J.write_file path
       (J.Obj
          [
-           ("schema_version", J.Int 5);
+           ("schema_version", J.Int 6);
            ("jobs", J.Int !jobs);
            ("cores_detected", J.Int (Domain.recommended_domain_count ()));
            ("profile", J.Bool (Prof.enabled ()));
            ("full", J.Bool !full);
            ("interrupted", J.Bool interrupted);
-           ( "warm_cache_calls",
-             J.Int (Prof.value (Prof.counter "spec.warm_calls")) );
            ("pool", Profjson.pool_totals (Pool.stats ()));
            ("sections", J.List (List.rev !entries));
            ("total_seconds", J.Float total);

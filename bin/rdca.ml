@@ -384,31 +384,6 @@ let skip_untestable_arg =
   in
   Arg.(value & flag & info [ "skip-untestable" ] ~doc)
 
-(* Sites where every configured kind is statically dead: a stuck-at is
-   dead when its stem fault is untestable, a transient when both
-   polarities are (flipping the node is pinning it to one of them on
-   every trial input). *)
-let dead_sites_for nl kinds =
-  let report = Atpg.Engine.analyze nl in
-  let tbl = Atpg.Engine.verdict_table report in
-  let untestable node stuck =
-    match
-      Hashtbl.find_opt tbl { Atpg.Fault.node; pin = Atpg.Fault.Stem; stuck }
-    with
-    | Some r -> r.Atpg.Engine.verdict = Atpg.Engine.Untestable
-    | None -> false
-  in
-  List.filter
-    (fun s ->
-      List.for_all
-        (function
-          | Reliability.Inject.Stuck_at_0 -> untestable s false
-          | Reliability.Inject.Stuck_at_1 -> untestable s true
-          | Reliability.Inject.Transient ->
-              untestable s false && untestable s true)
-        kinds)
-    (Reliability.Inject.sites nl)
-
 (* The campaign faultsim runs on a synthesized netlist, minus the
    statically dead sites under --skip-untestable. *)
 let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
@@ -425,7 +400,7 @@ let campaign_config ~seed ~trials ~confidence ~max_sites ~time_budget
   in
   if not skip_untestable then config
   else begin
-    let dead = dead_sites_for nl config.Campaign.kinds in
+    let dead = Atpg.Engine.dead_sites nl (Reliability.Inject.sites nl) in
     Fmt.pr "skip-untestable: %d statically-dead site(s) excluded@."
       (List.length dead);
     { config with Campaign.dead_sites = dead }

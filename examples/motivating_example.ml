@@ -47,8 +47,8 @@ let () =
     b.ER.base (ER.min_rate b) (ER.max_rate b);
 
   let reliability = Assign.ranking ~fraction:1.0 s in
-  let rel_full, _ = Assign.conventional reliability in
-  let conv_full, _ = Assign.conventional s in
+  let rel_full, _ = Rdca_flow.Flow.implement reliability in
+  let conv_full, _ = Rdca_flow.Flow.implement s in
   let rate assigned =
     ER.of_table s ~o:0 ~impl:(ER.impl_table assigned ~o:0)
   in

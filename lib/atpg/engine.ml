@@ -319,6 +319,21 @@ let analyze ?(config = default_config) nl =
     disagreements;
   }
 
+(* Per site, only the two stem faults the caller reads, and the
+   stuck-at-1 one only when stuck-at-0 is untestable: no collapsing,
+   no other class of the universe. *)
+let dead_sites ?(config = default_config) nl sites =
+  let untestable node stuck =
+    (decide nl config { Fault.node; pin = Fault.Stem; stuck }).d_verdict
+    = Untestable
+  in
+  let dead =
+    Parallel.Pool.map ~chunk:1
+      (fun node -> untestable node false && untestable node true)
+      (Array.of_list sites)
+  in
+  List.filteri (fun i _ -> dead.(i)) sites
+
 let untestable_classes report =
   List.filter (fun r -> r.verdict = Untestable) report.results
 

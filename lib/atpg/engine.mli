@@ -73,6 +73,16 @@ val analyze : ?config:config -> Netlist.t -> report
     @raise Invalid_argument if [Exhaustive] or [Differential] is forced
     with [ni > 20]. *)
 
+val dead_sites : ?config:config -> Netlist.t -> int list -> int list
+(** [dead_sites ?config nl sites] is the nodes of [sites], in order,
+    whose stem stuck-at-0 and stuck-at-1 faults are both untestable:
+    no value forced at the node ever reaches an output.  Each stem
+    fault is decided on its own through the backend {!analyze} would
+    use, so the verdicts are those {!verdict_table} gives, without
+    collapsing or deciding the rest of the universe.  [sites] must be
+    gate nodes (not inputs or constants).
+    @raise Invalid_argument as {!analyze}. *)
+
 val untestable_classes : report -> fault_result list
 
 val verdict_table : report -> (Fault.t, fault_result) Hashtbl.t

@@ -122,11 +122,6 @@ let check_covers ~spec covers =
       (Printf.sprintf "Cover_check.check_covers: %d covers for %d outputs"
          (List.length covers) no);
   let covers = Array.of_list covers in
-  (* Phase planes are built lazily under a mutex on first access;
-     touch them before fanning out so workers only read. *)
-  for o = 0 to no - 1 do
-    ignore (Spec.phase_planes spec ~o)
-  done;
   let per_output =
     Parallel.Pool.init no (fun o ->
         check_cover ~spec ~o covers.(o))

@@ -3,7 +3,7 @@
     A cover produced for output [o] of a spec is correct when it
     contains every on-set minterm and no off-set minterm (DC minterms
     may fall either way).  {!check_cover} proves both properties by
-    dense bit-set algebra over the spec's cached phase planes (fused
+    dense bit-set algebra over the spec's phase planes (fused
     {!Bitvec.Bv.Kernel} popcounts) and additionally flags redundant
     structure: cubes contained in a single other cube, and cubes
     covered by the rest of the cover plus the DC-set. *)

@@ -8,7 +8,7 @@
     terms (an error: the function is inconsistent), contradictory
     care/DC assertions, and duplicate term lines.
 
-    The input-dependence and duplicate-output scans run on the cached
+    The input-dependence and duplicate-output scans run on
     {!Pla.Spec.phase_planes} through {!Bitvec.Bv.Kernel}; the tests
     check them against per-minterm {!Pla.Spec.get} probes. *)
 

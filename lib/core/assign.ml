@@ -1,5 +1,4 @@
 module Spec = Pla.Spec
-module Cover = Twolevel.Cover
 
 let ranking ~fraction spec =
   if fraction < 0.0 || fraction > 1.0 then
@@ -43,19 +42,6 @@ let by_complexity ~threshold spec =
   out
 
 let complete spec = ranking ~fraction:1.0 spec
-
-let conventional spec =
-  let out = Spec.copy spec in
-  let ni = Spec.ni spec in
-  let covers =
-    List.init (Spec.no spec) (fun o ->
-        let on = Spec.on_bv spec ~o and dc = Spec.dc_bv spec ~o in
-        let cover = Espresso.Dense.minimize ~n:ni ~on ~dc in
-        Spec.iter_dc spec ~o (fun m ->
-            Spec.assign_dc out ~o ~m (Cover.eval cover m));
-        cover)
-  in
-  (out, covers)
 
 let assigned_dc_fraction ~before ~after =
   let dcs = ref 0 and assigned = ref 0 in

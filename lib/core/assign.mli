@@ -24,13 +24,6 @@ val by_complexity : threshold:float -> Pla.Spec.t -> Pla.Spec.t
     unassigned ([ranking ~fraction:1.]). *)
 val complete : Pla.Spec.t -> Pla.Spec.t
 
-(** [conventional spec] assigns all remaining DCs the way conventional
-    synthesis does: each output is minimised by espresso over its
-    on/DC sets and a DC becomes the value the minimised cover gives
-    it.  The result is fully specified; the minimised covers are
-    returned alongside (one per output). *)
-val conventional : Pla.Spec.t -> Pla.Spec.t * Twolevel.Cover.t list
-
 (** [assigned_dc_fraction ~before ~after] is the fraction of [before]'s
     DC minterms no longer DC in [after] (for matching assignment
     budgets between algorithms, as Table 2 does). *)

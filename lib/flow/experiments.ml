@@ -127,10 +127,6 @@ let sweep_cell_of_spec spec fraction =
 
 let sweep ?(fractions = default_fractions) ?names () =
   let specs = Array.of_list (suite_specs ?names ()) in
-  (* The cells of one benchmark share its spec: publish every phase
-     plane before the fan-out so the parallel region reads a warm,
-     read-only cache instead of racing on first-use rebuilds. *)
-  Array.iter (fun (_, spec) -> Spec.warm_cache spec) specs;
   let nfr = Array.length fractions in
   (* Flatten to (benchmark, fraction) cells: a finer grain than
      per-benchmark fan-out, so a single slow benchmark doesn't leave

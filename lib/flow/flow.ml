@@ -119,11 +119,11 @@ let apply_strategy strategy spec =
   | Lcf threshold -> Assign.by_complexity ~threshold spec
   | Complete -> Assign.complete spec
 
-let implement spec = Assign.conventional spec
-
-(* [implement] under a cube/time budget: an output whose raw on-cover
-   already exceeds [max_cubes], or that comes up after [max_seconds]
-   of minimisation time has been spent, keeps its unminimized
+(* Conventional assignment: each output is minimised by espresso over
+   its on/DC sets and every DC takes the value its cover gives it.
+   Under a cube/time budget, an output whose raw on-cover already
+   exceeds [max_cubes], or that comes up after [max_seconds] of
+   minimisation time has been spent, keeps its unminimized
    minterm-level on-cover (every DC assigned off) and the degradation
    is reported instead of raised. *)
 let implement_budgeted ~budget spec =
@@ -131,10 +131,10 @@ let implement_budgeted ~budget spec =
   let no = Spec.no spec in
   let t0 = Unix.gettimeofday () in
   let minimise o =
-    let raw = Spec.on_cover spec ~o in
+    (* the raw on-cover has one cube per on-minterm *)
     let over_cubes =
       match budget.max_cubes with
-      | Some c -> Twolevel.Cover.size raw > c
+      | Some c -> Spec.on_count spec ~o > c
       | None -> false
     in
     let over_time =
@@ -142,7 +142,7 @@ let implement_budgeted ~budget spec =
       | Some s -> Unix.gettimeofday () -. t0 > s
       | None -> false
     in
-    if over_cubes || over_time then (raw, true)
+    if over_cubes || over_time then (Spec.on_cover spec ~o, true)
     else
       let on = Spec.on_bv spec ~o and dc = Spec.dc_bv spec ~o in
       (Espresso.Dense.minimize ~n:ni ~on ~dc, false)
@@ -173,6 +173,10 @@ let implement_budgeted ~budget spec =
       cells
   in
   (out, covers, List.rev !degradations)
+
+let implement spec =
+  let full, covers, _ = implement_budgeted ~budget:no_budget spec in
+  (full, covers)
 
 let measured_error ?(analysis = Reliability.Analysis.Exhaustive)
     ?analysis_params ~original assigned =

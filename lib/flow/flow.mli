@@ -114,8 +114,11 @@ val lint_source : source -> Check.Diag.t list
 (** [apply_strategy strategy spec] is the partially assigned spec. *)
 val apply_strategy : strategy -> Pla.Spec.t -> Pla.Spec.t
 
-(** [implement spec] finishes any spec with conventional assignment
-    and returns the fully specified spec plus per-output covers. *)
+(** [implement spec] finishes any spec with conventional assignment:
+    each output is minimised by espresso over its on/DC sets and every
+    remaining DC takes the value its minimised cover gives it.  Returns
+    the fully specified spec plus the per-output covers; the input is
+    not mutated. *)
 val implement : Pla.Spec.t -> Pla.Spec.t * Twolevel.Cover.t list
 
 (** [measured_error ?analysis ?analysis_params ~original assigned] is

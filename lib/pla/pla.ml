@@ -98,12 +98,35 @@ let int_directive d = function
   | [] -> fail "%s: missing argument" d
   | _ -> fail "%s: expected exactly one argument" d
 
-let parse_string text =
-  let lines = String.split_on_char '\n' text in
+(* The characters of an output column that state a phase under [ty];
+   [None] is "no information", left to the type's default phase. *)
+let explicit_phase ty c =
+  match (c, ty) with
+  | ('1' | '4'), _ -> Some Spec.On
+  | ('-' | '~' | '2'), (Fd | Fdr) -> Some Spec.Dc
+  | ('-' | '~' | '2'), (F | Fr) -> None
+  | '0', (Fr | Fdr) -> Some Spec.Off
+  | '0', (F | Fd) -> None
+  | c, _ -> fail "bad output character %C" c
+
+(* A scanned .pla text: the header and the terms in source order. *)
+type scanned = {
+  s_ni : int;
+  s_no : int;
+  s_ty : pla_type;
+  s_input_names : string array;
+  s_output_names : string array;
+  s_terms : term list;
+}
+
+(* The one scanner both readers share: directives, header checks
+   against the reader's own input limit, then every term's widths,
+   input cube and output characters, in source order. *)
+let scan ~max_inputs ~representation text =
   let ni = ref (-1) and no = ref (-1) in
   let ilb = ref None and ob = ref None in
   let ty = ref Fd in
-  let terms = ref [] in
+  let raw_terms = ref [] in
   let ended = ref false in
   List.iteri
     (fun i raw ->
@@ -120,14 +143,44 @@ let parse_string text =
         | Directive ((".e" | ".end"), _) -> ended := true
         | Directive (d, _) -> fail "unsupported directive %S" d
         | Term { ins; outs; col_in; col_out } ->
-            terms := (i + 1, col_in, col_out, ins, outs) :: !terms)
-    lines;
+            raw_terms := (i + 1, col_in, col_out, ins, outs) :: !raw_terms)
+    (String.split_on_char '\n' text);
   if !ni < 0 then fail "missing or negative .i";
   if !no < 0 then fail "missing or negative .o";
   let ni = !ni and no = !no in
   if no = 0 then fail ".o 0: at least one output required";
-  if ni > 20 then fail ".i %d exceeds dense representation limit (20)" ni;
-  let default = match !ty with Fr -> Spec.Dc | F | Fd | Fdr -> Spec.Off in
+  if ni > max_inputs then
+    fail ".i %d exceeds %s representation limit (%d)" ni representation
+      max_inputs;
+  let term (line, col, out_col, ins, outs) =
+    if String.length ins <> ni then fail "term %S: expected %d inputs" ins ni;
+    if String.length outs <> no then
+      fail "term %S %S: expected %d outputs" ins outs no;
+    let input =
+      try Twolevel.Cube.of_string ins
+      with Invalid_argument _ -> fail "term %S: bad input character" ins
+    in
+    (* raises on the first character no type gives a meaning *)
+    String.iter (fun c -> ignore (explicit_phase !ty c)) outs;
+    { input; output_chars = outs; line; col; out_col }
+  in
+  let s_terms = List.map term (List.rev !raw_terms) in
+  let di, dd = default_names ~ni ~no in
+  {
+    s_ni = ni;
+    s_no = no;
+    s_ty = !ty;
+    s_input_names =
+      (match !ilb with Some a when Array.length a = ni -> a | _ -> di);
+    s_output_names =
+      (match !ob with Some a when Array.length a = no -> a | _ -> dd);
+    s_terms;
+  }
+
+let parse_string text =
+  let sc = scan ~max_inputs:20 ~representation:"dense" text in
+  let ni = sc.s_ni and no = sc.s_no in
+  let default = match sc.s_ty with Fr -> Spec.Dc | F | Fd | Fdr -> Spec.Off in
   let spec = Spec.create ~ni ~no ~default in
   (* Last explicit phase per (output, minterm): 0 = never explicitly
      driven, else 1 + phase code; bit 3 marks "conflict already
@@ -163,55 +216,30 @@ let parse_string text =
     Bytes.set explicit idx (Char.chr (phase_code p lor report_bit));
     Spec.set spec ~o ~m p
   in
-  let parsed_terms = ref [] in
-  let apply_term (line, col_in, col_out, ins, outs) =
-    if String.length ins <> ni then fail "term %S: expected %d inputs" ins ni;
-    if String.length outs <> no then
-      fail "term %S %S: expected %d outputs" ins outs no;
-    let cube =
-      try Twolevel.Cube.of_string ins
-      with Invalid_argument _ -> fail "term %S: bad input character" ins
-    in
-    Twolevel.Cube.iter_minterms ~n:ni
-      (fun m ->
-        String.iteri
-          (fun o c ->
-            (* Column of this output character in the source line. *)
-            let col = if col_out > 0 then col_out + o else 0 in
-            match (c, !ty) with
-            | '1', _ | '4', _ -> drive ~line ~col ~o ~m Spec.On
-            | ('-' | '~' | '2'), (Fd | Fdr) -> drive ~line ~col ~o ~m Spec.Dc
-            | ('-' | '~' | '2'), (F | Fr) -> () (* no information *)
-            | '0', (Fr | Fdr) -> drive ~line ~col ~o ~m Spec.Off
-            | '0', (F | Fd) -> () (* no information *)
-            | c, _ -> fail "bad output character %C" c)
-          outs)
-      cube;
-    parsed_terms :=
-      { input = cube; output_chars = outs; line; col = col_in; out_col = col_out }
-      :: !parsed_terms
-  in
-  List.iter apply_term (List.rev !terms);
-  let input_names, output_names =
-    let di, dd = default_names ~ni ~no in
-    ( (match !ilb with Some a when Array.length a = ni -> a | _ -> di),
-      match !ob with Some a when Array.length a = no -> a | _ -> dd )
-  in
+  (* Textual last-write-wins: terms apply in source order. *)
+  List.iter
+    (fun t ->
+      Twolevel.Cube.iter_minterms ~n:ni
+        (fun m ->
+          String.iteri
+            (fun o c ->
+              match explicit_phase sc.s_ty c with
+              | Some p ->
+                  (* Column of this output character in the source line. *)
+                  let col = if t.out_col > 0 then t.out_col + o else 0 in
+                  drive ~line:t.line ~col ~o ~m p
+              | None -> ())
+            t.output_chars)
+        t.input)
+    sc.s_terms;
   {
     spec;
-    input_names;
-    output_names;
-    ty = !ty;
-    terms = List.rev !parsed_terms;
+    input_names = sc.s_input_names;
+    output_names = sc.s_output_names;
+    ty = sc.s_ty;
+    terms = sc.s_terms;
     conflicts = List.rev !conflicts;
   }
-
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
 
 (* ------------------------------------------------------------------ *)
 (* Cover-level parsing: the scalable loader.  Product terms are kept
@@ -234,112 +262,57 @@ type cover_file = {
   cf_ty : pla_type;
 }
 
-let cover_max_inputs = 61 (* Twolevel.Cube's mask width *)
-
 let parse_string_covers text =
-  let lines = String.split_on_char '\n' text in
-  let ni = ref (-1) and no = ref (-1) in
-  let ilb = ref None and ob = ref None in
-  let ty = ref Fd in
-  let terms = ref [] in
-  let ended = ref false in
-  List.iteri
-    (fun i raw ->
-      if not !ended then
-        match classify_line raw with
-        | Blank -> ()
-        | Directive (".i", args) -> ni := int_directive ".i" args
-        | Directive (".o", args) -> no := int_directive ".o" args
-        | Directive (".p", _) -> ()
-        | Directive (".ilb", names) -> ilb := Some (Array.of_list names)
-        | Directive (".ob", names) -> ob := Some (Array.of_list names)
-        | Directive (".type", [ v ]) -> ty := pla_type_of_string v
-        | Directive (".type", _) -> fail ".type: expected exactly one argument"
-        | Directive ((".e" | ".end"), _) -> ended := true
-        | Directive (d, _) -> fail "unsupported directive %S" d
-        | Term { ins; outs; col_in = _; col_out = _ } ->
-            terms := (i + 1, ins, outs) :: !terms)
-    lines;
-  if !ni < 0 then fail "missing or negative .i";
-  if !no < 0 then fail "missing or negative .o";
-  let ni = !ni and no = !no in
-  if no = 0 then fail ".o 0: at least one output required";
-  if ni > cover_max_inputs then
-    fail ".i %d exceeds cube representation limit (%d)" ni cover_max_inputs;
-  let ty = !ty in
-  (* Per output: cube lists for the phases the type makes explicit. *)
-  let on_cubes = Array.make no [] and aux_cubes = Array.make no [] in
-  let apply_term (line, ins, outs) =
-    ignore line;
-    if String.length ins <> ni then fail "term %S: expected %d inputs" ins ni;
-    if String.length outs <> no then
-      fail "term %S %S: expected %d outputs" ins outs no;
-    let cube =
-      try Twolevel.Cube.of_string ins
-      with Invalid_argument _ -> fail "term %S: bad input character" ins
-    in
-    String.iteri
-      (fun o c ->
-        match (c, ty) with
-        | '1', _ | '4', _ -> on_cubes.(o) <- cube :: on_cubes.(o)
-        | ('-' | '~' | '2'), (Fd | Fdr) -> aux_cubes.(o) <- cube :: aux_cubes.(o)
-        | ('-' | '~' | '2'), (F | Fr) -> ()
-        | '0', Fr -> aux_cubes.(o) <- cube :: aux_cubes.(o)
-        | '0', Fdr -> () (* off is the default phase anyway *)
-        | '0', (F | Fd) -> ()
-        | c, _ -> fail "bad output character %C" c)
-      outs
+  let sc =
+    scan ~max_inputs:61 (* Twolevel.Cube's mask width *)
+      ~representation:"cube" text
   in
-  List.iter apply_term (List.rev !terms);
+  let ni = sc.s_ni and ty = sc.s_ty in
+  (* Per output: cube lists for the phases the type makes explicit
+     besides the on-set: DC for f/fd/fdr, off for fr ([fdr]'s off
+     cubes restate the default phase and are dropped). *)
+  let on_cubes = Array.make sc.s_no [] and aux_cubes = Array.make sc.s_no [] in
+  List.iter
+    (fun t ->
+      String.iteri
+        (fun o c ->
+          match (explicit_phase ty c, ty) with
+          | Some Spec.On, _ -> on_cubes.(o) <- t.input :: on_cubes.(o)
+          | Some Spec.Dc, _ | Some Spec.Off, Fr ->
+              aux_cubes.(o) <- t.input :: aux_cubes.(o)
+          | Some Spec.Off, (F | Fd | Fdr) | None, _ -> ())
+        t.output_chars)
+    sc.s_terms;
   let cover cubes = Twolevel.Cover.make ~n:ni (List.rev cubes) in
   let outputs =
-    List.init no (fun o ->
+    List.init sc.s_no (fun o ->
         let on = cover on_cubes.(o) and aux = cover aux_cubes.(o) in
         match ty with
         | F | Fd | Fdr -> Fd_sets { on; dc = aux }
         | Fr -> Fr_sets { on; off = aux })
   in
-  let input_names, output_names =
-    let di, dd = default_names ~ni ~no in
-    ( (match !ilb with Some a when Array.length a = ni -> a | _ -> di),
-      match !ob with Some a when Array.length a = no -> a | _ -> dd )
-  in
   {
     cf_ni = ni;
     cf_outputs = outputs;
-    cf_input_names = input_names;
-    cf_output_names = output_names;
+    cf_input_names = sc.s_input_names;
+    cf_output_names = sc.s_output_names;
     cf_ty = ty;
   }
 
-let parse_file_covers path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string_covers text
+let read_file path = In_channel.with_open_text path In_channel.input_all
+let parse_file path = parse_string (read_file path)
+let parse_file_covers path = parse_string_covers (read_file path)
 
-let parse_string_covers_res text =
-  match parse_string_covers text with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
-
-let parse_file_covers_res path =
-  match parse_file_covers path with
-  | t -> Ok t
+let result parse x =
+  match parse x with
+  | v -> Ok v
   | exception Parse_error msg -> Error msg
   | exception Sys_error msg -> Error msg
 
-let parse_string_res text =
-  match parse_string text with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
-
-let parse_file_res path =
-  match parse_file path with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
-  | exception Sys_error msg -> Error msg
+let parse_string_res = result parse_string
+let parse_file_res = result parse_file
+let parse_string_covers_res = result parse_string_covers
+let parse_file_covers_res = result parse_file_covers
 
 let type_to_string = function F -> "f" | Fd -> "fd" | Fr -> "fr" | Fdr -> "fdr"
 
@@ -417,8 +390,3 @@ let to_string_covers ~ni covers =
   List.iter (fun (ins, outs) -> Printf.bprintf buf "%s %s\n" ins outs) lines;
   Buffer.add_string buf ".e\n";
   Buffer.contents buf
-
-let to_string_minimized spec =
-  let ni = Spec.ni spec in
-  to_string_covers ~ni
-    (List.init (Spec.no spec) (fun o -> (Spec.on_cover spec ~o, Spec.dc_cover spec ~o)))

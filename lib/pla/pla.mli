@@ -13,7 +13,13 @@
 
     Anything not mentioned by any product term defaults to the off-set
     ([fd], [f]), to the DC-set ([fr] — unspecified minterms are free),
-    or is an error to leave unmentioned for [fdr] (we default to off). *)
+    or is an error to leave unmentioned for [fdr] (we default to off).
+
+    Two readers share one scanner, so they accept the same text and
+    report the same errors: {!parse_string} expands the terms into a
+    dense {!Spec.t} ([.i <= 20]), {!parse_string_covers} keeps them as
+    cubes ([.i <= 61]); besides that limit, only their results and
+    how overlapping terms resolve differ. *)
 
 module Spec = Spec
 
@@ -130,9 +136,3 @@ val default_names : ni:int -> no:int -> string array * string array
     @raise Invalid_argument on arity mismatch or empty list. *)
 val to_string_covers :
   ni:int -> (Twolevel.Cover.t * Twolevel.Cover.t) list -> string
-
-(** [to_string_minimized spec] is {!to_string_covers} applied to the
-    spec's raw per-output minterm covers — a convenience when no
-    minimised covers are at hand (minimisation itself lives in
-    {!Espresso}). *)
-val to_string_minimized : Spec.t -> string

@@ -2,36 +2,26 @@ module Bv = Bitvec.Bv
 
 type phase = On | Off | Dc
 
+(* The function itself: per output, three packed phase planes over the
+   2^ni minterms, every minterm set in exactly one of them. *)
 type planes = { p_on : Bv.t; p_off : Bv.t; p_dc : Bv.t }
 
-type t = {
-  ni : int;
-  no : int;
-  tables : Bytes.t array;
-  cache : planes option Atomic.t array;
-      (** packed phase planes, per output, published by CAS *)
-}
+type t = { ni : int; no : int; planes : planes array }
 
-let c_plane_builds = Prof.counter "spec.plane_builds"
-let c_cas_losses = Prof.counter "spec.plane_cas_losses"
-let c_warm = Prof.counter "spec.warm_calls"
-let sp_build = Prof.span "spec.plane_build"
-
-let phase_to_char = function Off -> '\000' | On -> '\001' | Dc -> '\002'
-
-let phase_of_char = function
-  | '\000' -> Off
-  | '\001' -> On
-  | '\002' -> Dc
-  | _ -> assert false
+let plane_of pl = function On -> pl.p_on | Off -> pl.p_off | Dc -> pl.p_dc
 
 let create ~ni ~no ~default =
   if ni < 0 || ni > 20 || no <= 0 then invalid_arg "Spec.create";
   let len = 1 lsl ni in
-  let tables =
-    Array.init no (fun _ -> Bytes.make len (phase_to_char default))
+  let planes =
+    Array.init no (fun _ ->
+        let pl =
+          { p_on = Bv.create len; p_off = Bv.create len; p_dc = Bv.create len }
+        in
+        Bv.fill (plane_of pl default) true;
+        pl)
   in
-  { ni; no; tables; cache = Array.init no (fun _ -> Atomic.make None) }
+  { ni; no; planes }
 
 let ni t = t.ni
 let no t = t.no
@@ -41,14 +31,24 @@ let check t ~o ~m =
   if o < 0 || o >= t.no then invalid_arg "Spec: output out of range";
   if m < 0 || m >= size t then invalid_arg "Spec: minterm out of range"
 
+(* The phase of minterm [m], already range-checked. *)
+let phase_at pl m =
+  if Bv.unsafe_get pl.p_on m then On
+  else if Bv.unsafe_get pl.p_dc m then Dc
+  else Off
+
 let get t ~o ~m =
   check t ~o ~m;
-  phase_of_char (Bytes.get t.tables.(o) m)
+  phase_at (Array.unsafe_get t.planes o) m
 
 let set t ~o ~m p =
   check t ~o ~m;
-  Bytes.set t.tables.(o) m (phase_to_char p);
-  Atomic.set t.cache.(o) None
+  let pl = Array.unsafe_get t.planes o in
+  let old = phase_at pl m in
+  if old <> p then begin
+    Bv.clear (plane_of pl old) m;
+    Bv.unsafe_set (plane_of pl p) m
+  end
 
 let assign_dc t ~o ~m v =
   if get t ~o ~m <> Dc then invalid_arg "Spec.assign_dc: minterm is not DC";
@@ -56,65 +56,34 @@ let assign_dc t ~o ~m v =
 
 let copy t =
   {
-    ni = t.ni;
-    no = t.no;
-    tables = Array.map Bytes.copy t.tables;
-    cache = Array.init t.no (fun _ -> Atomic.make None);
+    t with
+    planes =
+      Array.map
+        (fun pl ->
+          {
+            p_on = Bv.copy pl.p_on;
+            p_off = Bv.copy pl.p_off;
+            p_dc = Bv.copy pl.p_dc;
+          })
+        t.planes;
   }
 
+(* The off plane is the complement of the other two. *)
 let equal a b =
-  a.ni = b.ni && a.no = b.no && Array.for_all2 Bytes.equal a.tables b.tables
-
-(* Packed phase planes.  Built lazily from the byte table, one pass
-   per output, and invalidated by [set].  Publication is lock-free:
-   concurrent readers (the parallel evaluation layer maps over outputs
-   of a shared spec) each compute the planes outside any lock and race
-   to install theirs with a single compare-and-set — the planes are
-   immutable once published, so losers simply adopt the winner's copy
-   and drop their own.  Mutation during a parallel region is already
-   outside the contract. *)
-let build_planes t ~o =
-  let len = size t in
-  let p_on = Bv.create len
-  and p_off = Bv.create len
-  and p_dc = Bv.create len in
-  let table = t.tables.(o) in
-  for m = 0 to len - 1 do
-    match Bytes.unsafe_get table m with
-    | '\001' -> Bv.unsafe_set p_on m
-    | '\000' -> Bv.unsafe_set p_off m
-    | _ -> Bv.unsafe_set p_dc m
-  done;
-  { p_on; p_off; p_dc }
+  a.ni = b.ni && a.no = b.no
+  && Array.for_all2
+       (fun x y -> Bv.equal x.p_on y.p_on && Bv.equal x.p_dc y.p_dc)
+       a.planes b.planes
 
 let planes t ~o =
   if o < 0 || o >= t.no then invalid_arg "Spec: output out of range";
-  let slot = t.cache.(o) in
-  match Atomic.get slot with
-  | Some p -> p
-  | None -> (
-      let p = Prof.time sp_build (fun () -> build_planes t ~o) in
-      Prof.incr c_plane_builds;
-      if Atomic.compare_and_set slot None (Some p) then p
-      else begin
-        Prof.incr c_cas_losses;
-        (* A concurrent reader published first; adopt its (identical)
-           copy.  If a mutation slipped in and re-invalidated the slot,
-           our freshly built copy is the best answer available. *)
-        match Atomic.get slot with Some q -> q | None -> p
-      end)
+  t.planes.(o)
 
-let warm_cache t =
-  Prof.incr c_warm;
-  for o = 0 to t.no - 1 do
-    ignore (planes t ~o)
-  done
+let warm_cache (_ : t) = ()
 
 let phase_planes t ~o =
   let p = planes t ~o in
   (p.p_on, p.p_off, p.p_dc)
-
-let plane_of pl = function On -> pl.p_on | Off -> pl.p_off | Dc -> pl.p_dc
 
 let count_phase t ~o p = Bv.cardinal (plane_of (planes t ~o) p)
 
@@ -135,18 +104,13 @@ let dc_fraction t =
   done;
   float_of_int !dcs /. float_of_int (size t * t.no)
 
-let is_fully_specified t =
-  let dc = phase_to_char Dc in
-  Array.for_all
-    (fun table ->
-      let ok = ref true in
-      Bytes.iter (fun c -> if c = dc then ok := false) table;
-      !ok)
-    t.tables
+(* [f] on every set bit of [plane], in ascending minterm order. *)
+let iter_plane plane f =
+  for m = 0 to Bv.length plane - 1 do
+    if Bv.unsafe_get plane m then f m
+  done
 
-let iter_dc t ~o f =
-  let dc = phase_to_char Dc in
-  Bytes.iteri (fun m c -> if c = dc then f m) t.tables.(o)
+let iter_dc t ~o f = iter_plane (planes t ~o).p_dc f
 
 let phase_bv t ~o p = Bv.copy (plane_of (planes t ~o) p)
 
@@ -155,12 +119,10 @@ let off_bv t ~o = phase_bv t ~o Off
 let dc_bv t ~o = phase_bv t ~o Dc
 
 let phase_cover t ~o p =
-  let c = phase_to_char p in
   let cubes = ref [] in
-  Bytes.iteri
-    (fun m ch ->
-      if ch = c then cubes := Twolevel.Cube.of_minterm ~n:t.ni m :: !cubes)
-    t.tables.(o);
+  iter_plane
+    (plane_of (planes t ~o) p)
+    (fun m -> cubes := Twolevel.Cube.of_minterm ~n:t.ni m :: !cubes);
   Twolevel.Cover.make ~n:t.ni (List.rev !cubes)
 
 let on_cover t ~o = phase_cover t ~o On
@@ -185,10 +147,10 @@ let of_covers ~ni covers =
 
 let neighbour_counts t ~o ~m =
   check t ~o ~m;
-  let table = t.tables.(o) in
+  let pl = t.planes.(o) in
   let on = ref 0 and off = ref 0 and dc = ref 0 in
   for j = 0 to t.ni - 1 do
-    match phase_of_char (Bytes.get table (m lxor (1 lsl j))) with
+    match phase_at pl (m lxor (1 lsl j)) with
     | On -> incr on
     | Off -> incr off
     | Dc -> incr dc
@@ -197,7 +159,7 @@ let neighbour_counts t ~o ~m =
 
 (* Per-minterm neighbour counts for the whole 2^n space at once:
    n bit-sliced additions of permuted phase planes — O(n log n) vector
-   passes instead of O(n 2^n) byte probes.  DC counts follow from
+   passes instead of O(n 2^n) single-bit probes.  DC counts follow from
    on + off + dc = n.  With no inputs the sweep adds nothing, so every
    count is 0. *)
 let neighbour_counts_batch t ~o =
@@ -226,18 +188,6 @@ let neighbour_counts_batch t ~o =
   let on = K.counter_extract on_c and off = K.counter_extract off_c in
   let dc = Array.init len (fun m -> t.ni - on.(m) - off.(m)) in
   (on, off, dc)
-
-let on_neighbours t ~o ~m =
-  let on, _, _ = neighbour_counts t ~o ~m in
-  on
-
-let off_neighbours t ~o ~m =
-  let _, off, _ = neighbour_counts t ~o ~m in
-  off
-
-let dc_neighbours t ~o ~m =
-  let _, _, dc = neighbour_counts t ~o ~m in
-  dc
 
 let output_value t ~o ~m =
   match get t ~o ~m with

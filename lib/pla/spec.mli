@@ -2,12 +2,17 @@
 
     A [Spec.t] maps every (output, minterm) pair to a phase — [On],
     [Off] or [Dc] — exactly the on-set / off-set / DC-set partition the
-    paper's algorithms manipulate.  The representation is dense (one
-    byte per minterm per output), which is exact and fast for the
-    paper's benchmark sizes (n <= 12; supported up to n = 20).
+    paper's algorithms manipulate.  The representation is dense: per
+    output, three packed phase planes (on, off, DC) over the [2^ni]
+    minterms, every minterm in exactly one of them — 3 bits per
+    minterm.  That is exact and fast for the paper's benchmark sizes
+    (n <= 12; supported up to n = 20), and it is the form every
+    word-parallel reliability kernel reads ({!phase_planes}).
 
     Mutation is explicit: {!set} and {!assign_dc} modify in place; use
-    {!copy} to preserve an original. *)
+    {!copy} to preserve an original.  Concurrent reads need no
+    protocol; writes must not share a spec with any other domain (two
+    domains writing bits of one 63-bit word lose updates). *)
 
 type phase = On | Off | Dc
 
@@ -42,8 +47,7 @@ val copy : t -> t
 (** [equal a b] is structural equality of dimensions and phases. *)
 val equal : t -> t -> bool
 
-(** Phase counts for output [o]: popcounts of the cached phase
-    planes. *)
+(** Phase counts for output [o]: popcounts of its phase planes. *)
 
 val count_phase : t -> o:int -> phase -> int
 
@@ -61,10 +65,8 @@ val signal_probs : t -> o:int -> float * float * float
     DC phase — the "%DC" column of the paper's Table 1. *)
 val dc_fraction : t -> float
 
-(** [is_fully_specified t] is [true] when no DC phase remains. *)
-val is_fully_specified : t -> bool
-
-(** [iter_dc t ~o f] applies [f] to every DC minterm of output [o]. *)
+(** [iter_dc t ~o f] applies [f] to every DC minterm of output [o], in
+    ascending minterm order. *)
 val iter_dc : t -> o:int -> (int -> unit) -> unit
 
 (** Per-output set extraction.  Each call returns a fresh vector the
@@ -76,18 +78,17 @@ val off_bv : t -> o:int -> Bitvec.Bv.t
 
 val dc_bv : t -> o:int -> Bitvec.Bv.t
 
-(** [phase_planes t ~o] is the cached packed [(on, off, dc)] planes of
-    output [o], built on first use and invalidated by {!set} /
-    {!assign_dc}.  The vectors are {e borrowed}: treat them as
-    read-only — they are shared with every other caller and with the
-    word-parallel kernels. *)
+(** [phase_planes t ~o] is the packed [(on, off, dc)] planes of output
+    [o] — the spec's own storage, not a copy.  The vectors are
+    {e borrowed}: treat them as read-only.  They follow later {!set} /
+    {!assign_dc} calls on [t], so a caller that needs a snapshot
+    across a mutation copies them ({!on_bv} and friends). *)
 val phase_planes : t -> o:int -> Bitvec.Bv.t * Bitvec.Bv.t * Bitvec.Bv.t
 
-(** [warm_cache t] builds the phase planes of every output up front,
-    so a subsequent parallel region fans out against a read-only
-    cache instead of racing on first-use rebuilds.  Plane publication
-    is lock-free either way (compute outside any lock, compare-and-set
-    to install); warming just moves the builds before the fan-out. *)
+(** [warm_cache t] does nothing: the planes are the representation,
+    so a spec needs no preparation before a parallel region.  Kept
+    only because the benchmark's sweep workload ([perfbench/]) still
+    calls it. *)
 val warm_cache : t -> unit
 
 (** [on_cover t ~o] ([dc_cover t ~o]) is the minterm-level cover of the
@@ -102,17 +103,9 @@ val dc_cover : t -> o:int -> Twolevel.Cover.t
     @raise Invalid_argument on arity mismatch or empty list. *)
 val of_covers : ni:int -> (Twolevel.Cover.t * Twolevel.Cover.t) list -> t
 
-(** Neighbour phase counts of minterm [m] for output [o]: the number of
-    1-Hamming-distance neighbours in the on-set / off-set / DC-set.
-    These are the paper's core quantities. *)
-
-val on_neighbours : t -> o:int -> m:int -> int
-
-val off_neighbours : t -> o:int -> m:int -> int
-
-val dc_neighbours : t -> o:int -> m:int -> int
-
-(** [neighbour_counts t ~o ~m] is [(on, off, dc)] in one pass. *)
+(** [neighbour_counts t ~o ~m] is the number of 1-Hamming-distance
+    neighbours of minterm [m] in the on-set, off-set and DC-set of
+    output [o] — the paper's core quantities. *)
 val neighbour_counts : t -> o:int -> m:int -> int * int * int
 
 (** [neighbour_counts_batch t ~o] is the per-minterm [(on, off, dc)]

@@ -4,7 +4,6 @@ type config = {
   seed : int;
   trials_per_site : int;
   confidence : float;
-  kinds : Inject.kind list;
   max_sites : int option;
   time_budget : float option;
   dead_sites : int list;
@@ -15,7 +14,6 @@ let default_config =
     seed = 42;
     trials_per_site = 1000;
     confidence = 0.95;
-    kinds = Inject.all_kinds;
     max_sites = None;
     time_budget = None;
     dead_sites = [];
@@ -79,12 +77,13 @@ let validate_config config spec nl =
   if Netlist.ni nl <> Spec.ni spec then
     invalid_arg "Campaign.run: input count mismatch";
   if config.trials_per_site <= 0 then
-    invalid_arg "Campaign.run: trials_per_site must be positive";
-  if config.kinds = [] then invalid_arg "Campaign.run: no fault kinds"
+    invalid_arg "Campaign.run: trials_per_site must be positive"
 
-(* Statically-dead sites (every configured kind untestable — see
-   [Atpg.Engine]) are excluded *before* the subsample, so --max-sites
-   budgets are spent on faults that can matter. *)
+(* Statically-dead sites ([Atpg.Engine.dead_sites]: both stem faults
+   untestable, so every kind is, since a transient flip pins the node
+   to one of the two values on each trial input) are excluded *before*
+   the subsample, so --max-sites budgets are spent on faults that can
+   matter. *)
 let selected_sites config nl =
   let sites =
     match config.dead_sites with
@@ -120,7 +119,7 @@ let eval_site config spec nl site =
         rate = r.Inject.rate;
         ci;
       })
-    config.kinds
+    Inject.all_kinds
 
 let run config spec nl =
   validate_config config spec nl;
@@ -197,7 +196,7 @@ let pooled report =
           None rs
       in
       { p_kind = kind; p_sites; p_events; p_propagated; p_rate; p_ci; p_worst })
-    report.config.kinds
+    Inject.all_kinds
 
 module J = Rdca_json.Jsonout
 
@@ -207,7 +206,10 @@ let config_to_json c =
       ("seed", J.Int c.seed);
       ("trials_per_site", J.Int c.trials_per_site);
       ("confidence", J.Float c.confidence);
-      ("kinds", J.List (List.map (fun k -> J.String (Inject.kind_name k)) c.kinds));
+      ( "kinds",
+        J.List
+          (List.map (fun k -> J.String (Inject.kind_name k)) Inject.all_kinds)
+      );
       ( "max_sites",
         match c.max_sites with Some k -> J.Int k | None -> J.Null );
       ("dead_sites", J.List (List.map (fun s -> J.Int s) c.dead_sites));

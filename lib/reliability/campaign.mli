@@ -2,7 +2,8 @@
     internal nodes of a mapped netlist.
 
     A campaign visits fault sites in topological order and runs a
-    Monte-Carlo trial budget per (site, kind) pair.  Each pair gets
+    Monte-Carlo trial budget per (site, kind) pair, for every kind of
+    {!Inject.all_kinds}.  Each pair gets
     its own RNG deterministically derived from the campaign seed, so
     results are reproducible and independent of how many sites the
     wall-clock budget allowed: cutting a campaign short changes which
@@ -19,7 +20,6 @@ type config = {
   seed : int;  (** master seed; per-site RNGs derive from it *)
   trials_per_site : int;  (** Monte-Carlo trials per (site, kind) *)
   confidence : float;  (** Wilson interval confidence, e.g. [0.95] *)
-  kinds : Inject.kind list;  (** fault kinds to sweep *)
   max_sites : int option;
       (** evaluate at most this many sites (deterministic seeded
           subsample); [None] sweeps every site *)
@@ -31,13 +31,13 @@ type config = {
   dead_sites : int list;
       (** node ids excluded from site selection before any
           subsampling — statically untestable sites found by
-          [Atpg.Engine] ([--skip-untestable]), whose faults cannot
+          [Atpg.Engine.dead_sites] ([--skip-untestable]), whose faults cannot
           propagate and would only dilute the sweep.  Recorded in
           {!config_to_json}. *)
 }
 
-(** [default_config] — seed 42, 1000 trials, 95% confidence, all
-    kinds, no site cap, no time budget. *)
+(** [default_config] — seed 42, 1000 trials, 95% confidence, no site
+    cap, no time budget. *)
 val default_config : config
 
 (** Result for one (site, kind) pair. *)
@@ -77,10 +77,11 @@ type pooled = {
 
 (** [run config spec nl] sweeps the campaign.
     @raise Invalid_argument if netlist and spec input counts differ,
-    [trials_per_site <= 0], or [kinds] is empty. *)
+    or [trials_per_site <= 0]. *)
 val run : config -> Pla.Spec.t -> Netlist.t -> report
 
-(** [pooled report] aggregates per kind, in [config.kinds] order. *)
+(** [pooled report] aggregates per kind, in {!Inject.all_kinds}
+    order. *)
 val pooled : report -> pooled list
 
 (** [pp_report ppf report] prints the pooled summary table. *)

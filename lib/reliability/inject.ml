@@ -10,12 +10,6 @@ let kind_name = function
 
 let all_kinds = [ Stuck_at_0; Stuck_at_1; Transient ]
 
-let kind_of_name = function
-  | "sa0" -> Some Stuck_at_0
-  | "sa1" -> Some Stuck_at_1
-  | "transient" -> Some Transient
-  | _ -> None
-
 let sites nl =
   let acc = ref [] in
   Netlist.iter_nodes nl (fun id g _ ->

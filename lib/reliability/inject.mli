@@ -23,9 +23,6 @@ val kind_name : kind -> string
 (** [all_kinds] is [[Stuck_at_0; Stuck_at_1; Transient]]. *)
 val all_kinds : kind list
 
-(** [kind_of_name s] inverts {!kind_name}; [None] on unknown names. *)
-val kind_of_name : string -> kind option
-
 (** [sites nl] is the list of injectable sites: every non-input,
     non-constant node (the internal gates), in topological order. *)
 val sites : Netlist.t -> int list

@@ -220,7 +220,7 @@ let random_netlist phases =
       Spec.set s ~o:0 ~m
         (match p with 0 -> Spec.Off | 1 -> Spec.On | _ -> Spec.Dc))
     phases;
-  let _, covers = Rdca_core.Assign.conventional s in
+  let _, covers = Rdca_flow.Flow.implement s in
   let aig = Aig.of_covers ~ni:5 covers in
   let lib = Techmap.Stdcell.default_library () in
   (s, Techmap.Mapper.map ~mode:Techmap.Mapper.Area ~lib aig)
@@ -263,6 +263,47 @@ let prop_removal_preserves_care_set =
            (Diag.has_errors
               (Check.Netlist_check.equiv_spec ~spec:s r1.Redundancy.netlist)))
 
+(* Dead sites: both stem faults untestable.  In x OR (x AND y) the
+   AND's stem s-a-0 is untestable but its s-a-1 is not, so it is not
+   dead; a gate that feeds no output is. *)
+let test_dead_sites () =
+  let nl, a, o = absorption () in
+  let dangling = Netlist.add nl Netlist.Gate.Not [| 0 |] in
+  List.iter
+    (fun backend ->
+      Alcotest.(check (list int))
+        (Engine.backend_name backend ^ " dead sites")
+        [ dangling ]
+        (Engine.dead_sites ~config:(config backend) nl [ a; o; dangling ]))
+    all_backends
+
+(* The oracle: both stem verdicts read off the full analysis. *)
+let dead_sites_of_report report sites =
+  let tbl = Engine.verdict_table report in
+  let untestable node stuck =
+    (Hashtbl.find tbl { Fault.node; pin = Fault.Stem; stuck }).Engine.verdict
+    = Engine.Untestable
+  in
+  List.filter (fun s -> untestable s false && untestable s true) sites
+
+let prop_dead_sites_match_analysis =
+  QCheck.Test.make
+    ~name:"dead sites equal the full analysis's stem verdicts" ~count:30
+    QCheck.(pair phases_arb (QCheck.oneofl [ Engine.Auto; Engine.Sat_engine ]))
+    (fun (phases, backend) ->
+      let _, nl = random_netlist phases in
+      (* inject redundancy: an absorbed AND on the first output and a
+         gate that reaches no output *)
+      let outs = Array.copy (Netlist.outputs nl) in
+      let a = Netlist.add nl Netlist.Gate.And [| outs.(0); 0 |] in
+      outs.(0) <- Netlist.add nl Netlist.Gate.Or [| outs.(0); a |];
+      Netlist.set_outputs nl outs;
+      ignore (Netlist.add nl Netlist.Gate.Nand [| 1; 2 |]);
+      let sites = Reliability.Inject.sites nl in
+      let config = config backend in
+      Engine.dead_sites ~config nl sites
+      = dead_sites_of_report (Engine.analyze ~config nl) sites)
+
 let suite =
   ( "atpg",
     [
@@ -278,6 +319,8 @@ let suite =
       Alcotest.test_case "json shape" `Quick test_json_shape;
       Alcotest.test_case "remove injected redundancy" `Quick
         test_remove_injected_redundancy;
+      Alcotest.test_case "dead sites" `Quick test_dead_sites;
       QCheck_alcotest.to_alcotest prop_sat_matches_exhaustive;
+      QCheck_alcotest.to_alcotest prop_dead_sites_match_analysis;
       QCheck_alcotest.to_alcotest prop_removal_preserves_care_set;
     ] )

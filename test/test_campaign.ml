@@ -126,7 +126,7 @@ let test_pooled () =
   let r = Campaign.run (config ()) s nl in
   let ps = Campaign.pooled r in
   check "one pool per kind" true
-    (List.map (fun p -> p.Campaign.p_kind) ps = Campaign.default_config.kinds);
+    (List.map (fun p -> p.Campaign.p_kind) ps = Inject.all_kinds);
   List.iter
     (fun p ->
       let rs =
@@ -170,8 +170,6 @@ let test_validation () =
   let s, nl = fixture () in
   expect_invalid "trials_per_site = 0" (fun () ->
       Campaign.run (config ~trials:0 ()) s nl);
-  expect_invalid "empty kinds" (fun () ->
-      Campaign.run { (config ()) with Campaign.kinds = [] } s nl);
   let wide = Spec.create ~ni:4 ~no:1 ~default:Spec.On in
   expect_invalid "input mismatch" (fun () ->
       Campaign.run (config ()) wide nl)

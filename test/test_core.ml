@@ -88,7 +88,7 @@ let test_by_complexity_thresholds () =
   let none = Assign.by_complexity ~threshold:0.0 s in
   check "threshold 0 assigns nothing" true (Spec.equal s none);
   let all = Assign.by_complexity ~threshold:1.01 s in
-  check "threshold > 1 assigns everything" true (Spec.is_fully_specified all)
+  check "threshold > 1 assigns everything" true (Spec.dc_fraction all = 0.0)
 
 let test_by_complexity_tie_to_zero () =
   let s = motivating () in
@@ -98,8 +98,8 @@ let test_by_complexity_tie_to_zero () =
 
 let test_conventional_fully_specified () =
   let s = motivating () in
-  let r, covers = Assign.conventional s in
-  check "fully specified" true (Spec.is_fully_specified r);
+  let r, covers = Rdca_flow.Flow.implement s in
+  check "fully specified" true (Spec.dc_fraction r = 0.0);
   check_int "one cover" 1 (List.length covers);
   (* conventional preserves care phases *)
   for m = 0 to 15 do
@@ -144,8 +144,8 @@ let test_reliability_beats_conventional_on_average () =
   let runs = 25 in
   for _ = 1 to runs do
     let s = Synthetic.Synth_gen.random_spec ~rng ~ni:6 ~no:1 ~f1:0.2 ~f0:0.2 in
-    let conv, _ = Assign.conventional s in
-    let rel, _ = Assign.conventional (Assign.complete s) in
+    let conv, _ = Rdca_flow.Flow.implement s in
+    let rel, _ = Rdca_flow.Flow.implement (Assign.complete s) in
     total_conv := !total_conv +. ER.of_spec_assigned conv ~o:0;
     total_rel := !total_rel +. ER.of_spec_assigned rel ~o:0
   done;
@@ -162,7 +162,7 @@ let test_complete_reaches_min_bound () =
   Spec.set s ~o:0 ~m:7 Spec.Dc;
   (* nbrs of 7: 6(off) 5(on) 3(on) -> majority on *)
   let b = ER.bounds s ~o:0 in
-  let r, _ = Assign.conventional (Assign.complete s) in
+  let r, _ = Rdca_flow.Flow.implement (Assign.complete s) in
   (* The error rate must be computed against the ORIGINAL spec's care
      set: assigned DCs are care in the implementation but still cannot
      originate errors. *)
@@ -256,7 +256,7 @@ let prop_assignments_preserve_care =
         [
           Assign.ranking ~fraction:0.7 s;
           Assign.by_complexity ~threshold s;
-          fst (Assign.conventional s);
+          fst (Rdca_flow.Flow.implement s);
         ]
       in
       List.for_all
@@ -364,7 +364,7 @@ let prop_odc_io_equivalence =
           Spec.set s ~o:0 ~m
             (match p with 0 -> Spec.Off | 1 -> Spec.On | _ -> Spec.Dc))
         phases;
-      let full, covers = Rdca_core.Assign.conventional s in
+      let full, covers = Rdca_flow.Flow.implement s in
       ignore full;
       let aig = Aig.of_covers ~ni:5 covers in
       let lib = Techmap.Stdcell.default_library () in

@@ -164,7 +164,7 @@ let random_netlist phases =
       Spec.set s ~o:0 ~m
         (match p with 0 -> Spec.Off | 1 -> Spec.On | _ -> Spec.Dc))
     phases;
-  let _, covers = Rdca_core.Assign.conventional s in
+  let _, covers = Rdca_flow.Flow.implement s in
   let aig = Aig.of_covers ~ni:5 covers in
   let lib = Techmap.Stdcell.default_library () in
   (s, Techmap.Mapper.map ~mode:Techmap.Mapper.Area ~lib aig)

@@ -213,7 +213,7 @@ let test_shared_flow_valid () =
 let test_shared_netlist_matches_spec () =
   let spec = small_spec () in
   let full, mcubes = Flow.implement_shared (Pla.Spec.copy spec) in
-  check "fully specified" true (Pla.Spec.is_fully_specified full);
+  check "fully specified" true (Pla.Spec.dc_fraction full = 0.0);
   (* implementation agrees with the assigned spec everywhere *)
   let ok = ref true in
   for o = 0 to Pla.Spec.no spec - 1 do

@@ -242,11 +242,6 @@ let prop_run_matches_scalar =
             Inject.all_kinds)
         (List.init (Netlist.node_count nl) Fun.id))
 
-let prop_kind_names_roundtrip =
-  QCheck.Test.make ~name:"kind names round-trip" ~count:30
-    (QCheck.oneofl Inject.all_kinds)
-    (fun k -> Inject.kind_of_name (Inject.kind_name k) = Some k)
-
 let suite =
   ( "inject",
     [
@@ -261,6 +256,5 @@ let suite =
       Alcotest.test_case "monte-carlo deterministic" `Quick
         test_mc_deterministic;
       Alcotest.test_case "validation" `Quick test_validation;
-      QCheck_alcotest.to_alcotest prop_kind_names_roundtrip;
       QCheck_alcotest.to_alcotest prop_run_matches_scalar;
     ] )

@@ -155,19 +155,12 @@ let test_covers_writer_compact () =
   let p = Pla.parse_string text in
   check "function preserved" true (Spec.equal s p.Pla.spec)
 
-let test_minimized_alias () =
-  let s = Spec.create ~ni:3 ~no:1 ~default:Spec.Off in
-  Spec.set s ~o:0 ~m:5 Spec.On;
-  let p = Pla.parse_string (Pla.to_string_minimized s) in
-  check "alias works" true (Spec.equal s p.Pla.spec)
-
 let cover_writer_cases =
   [
     Alcotest.test_case "covers writer roundtrip" `Quick
       test_covers_writer_roundtrip;
     Alcotest.test_case "covers writer compact" `Quick
       test_covers_writer_compact;
-    Alcotest.test_case "to_string_minimized" `Quick test_minimized_alias;
   ]
 
 let suite = (fst suite, snd suite @ cover_writer_cases)
@@ -228,3 +221,61 @@ let malformed_cases =
   ]
 
 let suite = (fst suite, snd suite @ malformed_cases)
+
+(* The dense and the cube-level reader share one scanner and differ
+   only in how overlapping terms resolve: on text whose input cubes are
+   pairwise disjoint, the cube-level covers rebuild the dense spec. *)
+let spec_of_cover_file cf =
+  let ni = cf.Pla.cf_ni in
+  Spec.of_covers ~ni
+    (List.map
+       (function
+         | Pla.Fd_sets { on; dc } -> (on, dc)
+         | Pla.Fr_sets { on; off } ->
+             let care =
+               Bitvec.Bv.union (Twolevel.Cover.to_bv on)
+                 (Twolevel.Cover.to_bv off)
+             in
+             (on, Twolevel.Cover.of_bv ~n:ni (Bitvec.Bv.complement care)))
+       cf.Pla.cf_outputs)
+
+let gen_disjoint_pla =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun ni ->
+    int_range 1 3 >>= fun no ->
+    oneofl [ "fd"; "fr"; "fdr" ] >>= fun ty ->
+    list_size (int_range 0 10)
+      (pair
+         (string_size ~gen:(oneofl [ '0'; '1'; '-' ]) (return ni))
+         (string_size
+            ~gen:(oneofl [ '0'; '1'; '-'; '~'; '2'; '4' ])
+            (return no)))
+    >|= fun rows ->
+    (* keep a row only if its cube meets no earlier kept cube *)
+    let kept =
+      List.fold_left
+        (fun acc (ins, outs) ->
+          let c = Twolevel.Cube.of_string ins in
+          if
+            List.for_all
+              (fun (ins', _) ->
+                Twolevel.Cube.intersect c (Twolevel.Cube.of_string ins') = None)
+              acc
+          then (ins, outs) :: acc
+          else acc)
+        [] rows
+    in
+    Printf.sprintf ".i %d\n.o %d\n.type %s\n%s.e\n" ni no ty
+      (String.concat ""
+         (List.rev_map (fun (i, o) -> Printf.sprintf "%s %s\n" i o) kept)))
+
+let prop_readers_agree =
+  QCheck.Test.make ~name:"cube-level reader rebuilds the dense spec"
+    ~count:300
+    (QCheck.make ~print:Fun.id gen_disjoint_pla)
+    (fun text ->
+      Spec.equal (Pla.parse_string text).Pla.spec
+        (spec_of_cover_file (Pla.parse_string_covers text)))
+
+let suite =
+  (fst suite, snd suite @ [ QCheck_alcotest.to_alcotest prop_readers_agree ])

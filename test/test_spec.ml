@@ -75,9 +75,12 @@ let test_neighbour_counts () =
   check_int "on nbrs of 0" 0 on;
   check_int "off nbrs of 0" 1 off;
   check_int "dc nbrs of 0" 1 dc;
-  check_int "on nbrs of 2" 2 (Spec.on_neighbours s ~o:0 ~m:2);
-  check_int "off nbrs of 1" 0 (Spec.off_neighbours s ~o:0 ~m:1);
-  check_int "dc nbrs of 3" 1 (Spec.dc_neighbours s ~o:0 ~m:3)
+  let on, _, _ = Spec.neighbour_counts s ~o:0 ~m:2 in
+  check_int "on nbrs of 2" 2 on;
+  let _, off, _ = Spec.neighbour_counts s ~o:0 ~m:1 in
+  check_int "off nbrs of 1" 0 off;
+  let _, _, dc = Spec.neighbour_counts s ~o:0 ~m:3 in
+  check_int "dc nbrs of 3" 1 dc
 
 let test_covers_roundtrip () =
   let s = Spec.create ~ni:3 ~no:2 ~default:Spec.Off in
@@ -138,26 +141,34 @@ let test_count_phase_engines_agree () =
       check_int "popcount = byte scan" !scan (Spec.count_phase s ~o:0 p))
     [ Spec.On; Spec.Off; Spec.Dc ]
 
-let test_plane_cache_invalidation () =
+(* The planes are the spec's storage: ones borrowed before a write
+   show it, and a fresh [phase_planes] call agrees with them. *)
+let test_planes_follow_set () =
   let s = Spec.create ~ni:3 ~no:2 ~default:Spec.Off in
   Spec.set s ~o:0 ~m:1 Spec.On;
-  let on, _, _ = Spec.phase_planes s ~o:0 in
-  Alcotest.(check (list int)) "cached on-plane" [ 1 ] (Bitvec.Bv.to_list on);
-  (* mutate: the next phase_planes call must reflect the change *)
+  let on, off, dc = Spec.phase_planes s ~o:0 in
+  Alcotest.(check (list int)) "on-plane" [ 1 ] (Bitvec.Bv.to_list on);
   Spec.set s ~o:0 ~m:5 Spec.On;
-  let on, _, dc = Spec.phase_planes s ~o:0 in
-  Alcotest.(check (list int)) "rebuilt on-plane" [ 1; 5 ]
+  Alcotest.(check (list int)) "borrowed on-plane follows set" [ 1; 5 ]
     (Bitvec.Bv.to_list on);
+  Alcotest.(check (list int)) "borrowed off-plane follows set"
+    [ 0; 2; 3; 4; 6; 7 ] (Bitvec.Bv.to_list off);
   check "dc empty" true (Bitvec.Bv.is_empty dc);
+  let on', _, _ = Spec.phase_planes s ~o:0 in
+  check "fresh call agrees" true (Bitvec.Bv.equal on on');
   (* other outputs are unaffected *)
   let on1, _, _ = Spec.phase_planes s ~o:1 in
   check "o1 untouched" true (Bitvec.Bv.is_empty on1);
-  (* assign_dc also invalidates *)
   Spec.set s ~o:1 ~m:0 Spec.Dc;
+  let _, _, dc1 = Spec.phase_planes s ~o:1 in
+  Alcotest.(check (list int)) "dc set" [ 0 ] (Bitvec.Bv.to_list dc1);
   Spec.assign_dc s ~o:1 ~m:0 true;
-  let on1, _, dc1 = Spec.phase_planes s ~o:1 in
   Alcotest.(check (list int)) "assigned" [ 0 ] (Bitvec.Bv.to_list on1);
-  check "dc gone" true (Bitvec.Bv.is_empty dc1)
+  check "dc gone" true (Bitvec.Bv.is_empty dc1);
+  (* a copy owns its planes *)
+  let c = Spec.copy s in
+  Spec.set c ~o:1 ~m:7 Spec.Dc;
+  check "copy independent" true (Bitvec.Bv.is_empty dc1)
 
 let test_neighbour_counts_batch_matches () =
   let s = Spec.create ~ni:7 ~no:1 ~default:Spec.Off in
@@ -172,52 +183,6 @@ let test_neighbour_counts_batch_matches () =
     check_int "off" f_ off.(m);
     check_int "dc" d_ dc.(m)
   done
-
-(* A spec with a mix of phases on every output, for the cache tests. *)
-let mixed_spec () =
-  let s = Spec.create ~ni:5 ~no:3 ~default:Spec.Off in
-  for o = 0 to 2 do
-    for m = 0 to 31 do
-      if (m * (o + 3)) mod 7 < 2 then Spec.set s ~o ~m Spec.On
-      else if (m * (o + 5)) mod 11 < 3 then Spec.set s ~o ~m Spec.Dc
-    done
-  done;
-  s
-
-let planes_equal (a, b, c) (a', b', c') =
-  Bitvec.Bv.equal a a' && Bitvec.Bv.equal b b' && Bitvec.Bv.equal c c'
-
-let test_warm_cache () =
-  let s = mixed_spec () in
-  let cold = Spec.copy s in
-  Spec.warm_cache s;
-  for o = 0 to 2 do
-    check "warmed planes match lazily built ones" true
-      (planes_equal (Spec.phase_planes s ~o) (Spec.phase_planes cold ~o))
-  done;
-  (* Warming again after an invalidating write rebuilds the stale
-     output and leaves the rest correct. *)
-  Spec.set s ~o:1 ~m:0 Spec.On;
-  Spec.warm_cache s;
-  let on, _, _ = Spec.phase_planes s ~o:1 in
-  check "invalidated output rebuilt by warm_cache" true (Bitvec.Bv.get on 0)
-
-(* Racing first-use builds from several domains: every domain gets
-   planes equal to the sequentially built ones (the CAS publication
-   can discard losers' copies but never mix them). *)
-let test_plane_cache_concurrent_publish () =
-  let reference = Spec.phase_planes (mixed_spec ()) ~o:0 in
-  let s = mixed_spec () in
-  let domains =
-    List.init 4 (fun _ -> Domain.spawn (fun () -> Spec.phase_planes s ~o:0))
-  in
-  List.iteri
-    (fun i d ->
-      check
-        (Printf.sprintf "domain %d sees the published planes" i)
-        true
-        (planes_equal (Domain.join d) reference))
-    domains
 
 let prop_phase_partition =
   QCheck.Test.make ~name:"on+off+dc counts partition the space" ~count:100
@@ -244,6 +209,136 @@ let prop_neighbour_sum =
       let on, off, dc = Spec.neighbour_counts s ~o:0 ~m in
       on + off + dc = 4)
 
+(* Model test: random [set] / [assign_dc] / [copy] sequences against
+   an array of phases per output, at ni 0-9 (2^9 minterms span nine
+   63-bit words).  After every step each reader agrees with the model,
+   and every minterm sits in exactly one phase plane. *)
+type op = Set of int * int * Spec.phase | Assign of int * int * bool | Copy
+
+let phase_name = function Spec.On -> "On" | Spec.Off -> "Off" | Spec.Dc -> "Dc"
+
+let print_case (ni, no, default, ops) =
+  Printf.sprintf "ni=%d no=%d default=%s: %s" ni no (phase_name default)
+    (String.concat "; "
+       (List.map
+          (function
+            | Set (o, m, p) -> Printf.sprintf "set %d %d %s" o m (phase_name p)
+            | Assign (o, m, v) -> Printf.sprintf "assign_dc %d %d %b" o m v
+            | Copy -> "copy")
+          ops))
+
+let gen_case =
+  QCheck.Gen.(
+    int_range 0 9 >>= fun ni ->
+    int_range 1 3 >>= fun no ->
+    let phase = oneofl [ Spec.On; Spec.Off; Spec.Dc ] in
+    let o = int_bound (no - 1) and m = int_bound ((1 lsl ni) - 1) in
+    let op =
+      frequency
+        [
+          (5, map3 (fun o m p -> Set (o, m, p)) o m phase);
+          (3, map3 (fun o m v -> Assign (o, m, v)) o m bool);
+          (1, return Copy);
+        ]
+    in
+    phase >>= fun default ->
+    list_size (int_range 0 40) op >|= fun ops -> (ni, no, default, ops))
+
+let spec_of_model ni model =
+  let s = Spec.create ~ni ~no:(Array.length model) ~default:Spec.Off in
+  Array.iteri
+    (fun o ph -> Array.iteri (fun m p -> Spec.set s ~o ~m p) ph)
+    model;
+  s
+
+let agrees ni s model =
+  let size = 1 lsl ni in
+  let all = List.init size Fun.id in
+  let minterms p ph = List.filter (fun m -> ph.(m) = p) all in
+  let output o ph =
+    let cover_is c ms =
+      List.equal Cube.equal (Cover.cubes c)
+        (List.map (Cube.of_minterm ~n:ni) ms)
+    in
+    let dcs = ref [] in
+    Spec.iter_dc s ~o (fun m -> dcs := m :: !dcs);
+    let on, off, dc = Spec.phase_planes s ~o in
+    let plane_of = function Spec.On -> on | Spec.Off -> off | Spec.Dc -> dc in
+    let nbr m =
+      List.fold_left
+        (fun (a, b, c) j ->
+          match ph.(m lxor (1 lsl j)) with
+          | Spec.On -> (a + 1, b, c)
+          | Spec.Off -> (a, b + 1, c)
+          | Spec.Dc -> (a, b, c + 1))
+        (0, 0, 0) (List.init ni Fun.id)
+    in
+    List.for_all (fun m -> Spec.get s ~o ~m = ph.(m)) all
+    && List.for_all
+         (fun p -> Spec.count_phase s ~o p = List.length (minterms p ph))
+         [ Spec.On; Spec.Off; Spec.Dc ]
+    && List.rev !dcs = minterms Spec.Dc ph
+    && cover_is (Spec.on_cover s ~o) (minterms Spec.On ph)
+    && cover_is (Spec.dc_cover s ~o) (minterms Spec.Dc ph)
+    && List.for_all (fun m -> Spec.neighbour_counts s ~o ~m = nbr m) all
+    (* one bit per minterm, in the model's plane; the cardinals then
+       also rule out set padding bits *)
+    && List.for_all
+         (fun m ->
+           List.for_all
+             (fun p -> Bitvec.Bv.get (plane_of p) m = (p = ph.(m)))
+             [ Spec.On; Spec.Off; Spec.Dc ])
+         all
+    && Bitvec.Bv.cardinal on + Bitvec.Bv.cardinal off + Bitvec.Bv.cardinal dc
+       = size
+  in
+  let no = Array.length model in
+  (* [equal] holds against a rebuild of the model and fails once the
+     last minterm of the last output moves Off <-> Dc (On -> Off). *)
+  let other = Array.map Array.copy model in
+  let last = other.(no - 1) in
+  last.(size - 1) <-
+    (match last.(size - 1) with
+    | Spec.Off -> Spec.Dc
+    | Spec.Dc -> Spec.Off
+    | Spec.On -> Spec.Off);
+  List.for_all (fun o -> output o model.(o)) (List.init no Fun.id)
+  && Spec.equal s (spec_of_model ni model)
+  && not (Spec.equal s (spec_of_model ni other))
+
+let prop_model =
+  QCheck.Test.make ~name:"set/assign_dc/copy agree with a phase-array model"
+    ~count:200
+    (QCheck.make ~print:print_case gen_case)
+    (fun (ni, no, default, ops) ->
+      let s = ref (Spec.create ~ni ~no ~default) in
+      let model =
+        ref (Array.init no (fun _ -> Array.make (1 lsl ni) default))
+      in
+      (* every spec a [copy] left behind, with the model it must keep *)
+      let retired = ref [] in
+      let step op =
+        (match op with
+        | Set (o, m, p) ->
+            Spec.set !s ~o ~m p;
+            !model.(o).(m) <- p
+        | Assign (o, m, v) -> (
+            match Spec.assign_dc !s ~o ~m v with
+            | () ->
+                if !model.(o).(m) <> Spec.Dc then
+                  failwith "assign_dc accepted a care minterm";
+                !model.(o).(m) <- (if v then Spec.On else Spec.Off)
+            | exception Invalid_argument _ ->
+                if !model.(o).(m) = Spec.Dc then
+                  failwith "assign_dc rejected a DC minterm")
+        | Copy ->
+            retired := (!s, Array.map Array.copy !model) :: !retired;
+            s := Spec.copy !s);
+        agrees ni !s !model
+      in
+      List.for_all step ops
+      && List.for_all (fun (s', m') -> agrees ni s' m') !retired)
+
 let suite =
   ( "spec",
     [
@@ -262,14 +357,11 @@ let suite =
       Alcotest.test_case "output_value" `Quick test_output_value;
       Alcotest.test_case "count_phase engines agree" `Quick
         test_count_phase_engines_agree;
-      Alcotest.test_case "phase-plane cache invalidation" `Quick
-        test_plane_cache_invalidation;
+      Alcotest.test_case "phase planes follow set" `Quick
+        test_planes_follow_set;
       Alcotest.test_case "neighbour_counts_batch matches per-minterm" `Quick
         test_neighbour_counts_batch_matches;
-      Alcotest.test_case "warm_cache prebuilds every output" `Quick
-        test_warm_cache;
-      Alcotest.test_case "concurrent plane publication" `Quick
-        test_plane_cache_concurrent_publish;
       QCheck_alcotest.to_alcotest prop_phase_partition;
       QCheck_alcotest.to_alcotest prop_neighbour_sum;
+      QCheck_alcotest.to_alcotest prop_model;
     ] )
